@@ -24,7 +24,6 @@ from .vb import (
     sample_designs,
     sensitive_directions,
     vb_expectation,
-    vb_expectation_constrained,
 )
 from .stiefel import StiefelProblem, cayley_step, gradient_J, objective_FW, optimize_W
 from .map_opt import MapOptions, gn_step, optimize_map

@@ -276,7 +276,6 @@ def run(cfg: RunConfig, stage: str = "all", outdir=None) -> RunArtifacts:
         "validate_forward_calls": validate_calls,
         "total_forward_calls": total,
         "map_converged": mres.converged,
-        "compiled_kernel": topo_prior.COMPILED_KERNEL,
         **{f"time_{k}": f"{v:.3f}" for k, v in timings.items()},
     }
     art.manifest = manifest

@@ -343,16 +343,6 @@ def element_bilinear(ke_unit: np.ndarray, dof_map: np.ndarray, lam: np.ndarray,
     return np.einsum("ean,ea->ne", lam[dof_map], w)
 
 
-def adjoint_jacobians(solution: SystemSolution, model) -> tuple:
-    """Output Jacobians (G_theta, G_z) via one adjoint solve per output.
-
-    Delegates the model-specific chain factors (field transform, design
-    parametrization) to the forward model, which validates that the
-    factorization is current.
-    """
-    return model.jacobians_from(solution)
-
-
 def grid_interpolation_weights(nx, ny, Lx, Ly, points):
     """P1 interpolation (nodes, weights) for points inside a regular mesh.
 

@@ -112,13 +112,6 @@ class ForwardModel:
         G_theta, G_z = self.last_jacobians()
         return u, G_theta, G_z
 
-    def jacobians_from(self, solution):
-        """Jacobians for an externally held solution; it must be the cached one."""
-        if self._last is None or self._last[2] is not solution:
-            raise StaleFactorizationError("solution does not match the retained factorization")
-        theta, z, sol = self._last
-        return self._jacobians(sol, theta, z)
-
 
 class HeatFluxProblem(ForwardModel):
     def __init__(self, mesh: Mesh, field_prior: FieldPrior, tau_Q: float,
@@ -145,7 +138,6 @@ class HeatFluxProblem(ForwardModel):
                                    shape=(mesh.n_nodes, self.n)).tocsc()
         self._ke_unit = unit_diffusion_element_matrices(mesh)
         self._dofs = mesh.triangles
-        self._Gz_cache = None
 
     def _design_load_matrix(self):
         cols = []

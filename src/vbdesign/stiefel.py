@@ -30,10 +30,6 @@ class StiefelProblem:
     f: np.ndarray = None     # constraint gradient, optional
     eps_c2: float = None
 
-    @property
-    def G_z_gram(self) -> np.ndarray:
-        return self.G_z.T @ self.G_z
-
     def shifted_C(self):
         return self.C_yy - np.eye(self.C_yy.shape[0]) / self.tau_z
 

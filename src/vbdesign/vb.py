@@ -234,12 +234,6 @@ def vb_expectation(G_theta, G_z, params: ModelParams, prior: PriorConfig,
     return VariationalState(C_yy=C_yy, C_thy=C_thy, tau_z=tau_z, lowrank=lr)
 
 
-def vb_expectation_constrained(G_theta, G_z, params, prior, tau_Q, f, eps_c2,
-                               method="auto") -> VariationalState:
-    return vb_expectation(G_theta, G_z, params, prior, tau_Q, f=f, eps_c2=eps_c2,
-                          method=method)
-
-
 def evaluate_F(state: VariationalState, params: ModelParams, prior: PriorConfig,
                tau_Q: float, residual, G_theta, G_z, f=None, eps_c2=None,
                log_p_mu_z: float = 0.0, c_mu: float = 0.0) -> float:

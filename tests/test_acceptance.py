@@ -28,7 +28,6 @@ from vbdesign.vb import (
     run_vbem,
     sensitive_directions,
     vb_expectation,
-    vb_expectation_constrained,
 )
 
 TAU_Y0_INV = 1e4
@@ -227,9 +226,9 @@ def test_criterion_4_constraint_behavior(topo04_run, topo02_run):
     pr = topo04_run
     d_y = 20
     base = sensitive_directions(pr.vbem[d_y].state, pr.vbem[d_y].params).sigma2[0]
-    st2 = vb_expectation_constrained(
+    st2 = vb_expectation(
         pr.map_result.G_theta, pr.map_result.G_z, pr.vbem[d_y].params, pr.prior,
-        pr.model.tau_Q, pr.constraint_grad, 2.0 * pr.model.constraint.eps_c2)
+        pr.model.tau_Q, f=pr.constraint_grad, eps_c2=2.0 * pr.model.constraint.eps_c2)
     doubled = sensitive_directions(st2, pr.vbem[d_y].params).sigma2[0]
     ratio = doubled / base
     checks.append(("sigma1_scaling_in[1.5,2.5]", 1.5 <= ratio <= 2.5,

@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 import scipy.stats
 
-from vbdesign import _ising_py, topo_prior
 from vbdesign.mesh_fem import build_regular_mesh
 from vbdesign.topo_prior import (
+    BETA_BOUNDS,
+    BETA_STEP,
     MODE_LOCATION,
     build_neighbor_graph,
     estimate_phi_mean,
@@ -16,7 +17,49 @@ from vbdesign.topo_prior import (
     grad_log_prior_mu_z,
     log_prior_mu_z,
     new_state,
+    sweep_levels,
+    sweep_spins,
 )
+
+
+def raster_sweep(phi, neighbors, drive, beta, log_u):
+    """Reference kernel: one site at a time in index order, in place."""
+    spins = phi.tolist()
+    nbrs = neighbors.tolist()
+    drv = drive.tolist()
+    lu = log_u.tolist()
+    for j in range(len(spins)):
+        ssum = 0.0
+        for nb in nbrs[j]:
+            if nb >= 0:
+                ssum += spins[nb]
+        if lu[j] < -2.0 * spins[j] * (drv[j] - beta * ssum):
+            spins[j] = -spins[j]
+    phi[:] = spins
+
+
+def raster_phi_mean(neighbors, mu_z, sweeps, burn_in, rng, m=MODE_LOCATION, s2=1.0):
+    """Reference estimate_phi_mean on the raster kernel, drawing the same stream."""
+    phi = np.where(mu_z >= 0.0, 1, -1).astype(np.int8)
+    beta = 0.0
+    drive = (m / s2) * mu_z
+    acc = np.zeros(len(phi))
+    for t in range(sweeps):
+        raster_sweep(phi, neighbors, drive, beta, np.log(rng.random(len(phi))))
+        prop = beta + BETA_STEP * rng.standard_normal()
+        log_a = np.log(rng.random())
+        if BETA_BOUNDS[0] <= prop <= BETA_BOUNDS[1]:
+            sums = np.where(neighbors >= 0, phi[neighbors], 0).astype(float).sum(axis=1)
+            f = phi.astype(float)
+
+            def pll(b):
+                a = drive - b * sums
+                return float(np.sum(f * a - np.logaddexp(a, -a)))
+            if log_a < pll(prop) - pll(beta):
+                beta = float(prop)
+        if t >= burn_in:
+            acc += phi
+    return acc / (sweeps - burn_in), phi, beta
 
 
 class TestNeighborGraph:
@@ -55,17 +98,76 @@ class TestNeighborGraph:
             assert got == sorted(expected)
 
 
+def awkward_table(rng, d=300):
+    """Random neighbor table: asymmetric rows, self-loops, repeated entries."""
+    nb = rng.integers(-1, d, size=(d, 3)).astype(np.int32)
+    loops = rng.choice(d, 20, replace=False)
+    nb[loops, 1] = loops
+    dup = rng.choice(d, 20, replace=False)
+    nb[dup, 2] = nb[dup, 0]
+    assert any(j not in nb[k] for j in range(d) for k in nb[j] if k >= 0)
+    return nb
+
+
+class TestSweepLevels:
+    def check_schedule(self, nb):
+        level = sweep_levels(nb)
+        st = new_state(nb)
+        assert sorted(np.concatenate([s for s, _ in st.levels]).tolist()) == list(range(len(nb)))
+        for sites, _ in st.levels:
+            members = set(sites.tolist())
+            assert len(set(level[sites].tolist())) == 1
+            for j in sites:
+                assert not members & {int(k) for k in nb[j] if k >= 0 and k != j}
+        for j in range(len(nb)):
+            for k in nb[j]:
+                if 0 <= k < j:
+                    assert level[k] < level[j]
+                elif k > j:
+                    assert level[j] < level[k]
+        return level
+
+    @pytest.mark.parametrize("nx,ny,depth", [(26, 17, 34), (52, 34, 68)])
+    def test_mesh_schedule(self, nx, ny, depth):
+        level = self.check_schedule(build_neighbor_graph(build_regular_mesh(nx, ny, 1.6, 1.0)))
+        assert level.max() + 1 == depth
+
+    def test_awkward_table_schedule(self, rng):
+        self.check_schedule(awkward_table(rng))
+
+    def test_levels_are_longest_chains(self):
+        # chain 0-1-2, a site with only a repeated self-loop, a site listing 0 and 2
+        nb = np.array([[1, -1], [2, -1], [-1, -1], [3, 3], [0, 2]], dtype=np.int32)
+        assert sweep_levels(nb).tolist() == [0, 1, 2, 0, 3]
+
+
 class TestGibbsSweep:
     def test_kernels_bitwise_identical(self, rng):
         d = 300
-        nb = rng.integers(-1, d, size=(d, 3)).astype(np.int32)
-        phi_c = rng.choice(np.array([-1, 1], dtype=np.int8), d)
-        phi_p = phi_c.copy()
-        drive = rng.standard_normal(d)
-        log_u = np.log(rng.random(d))
-        topo_prior.sweep_spins(phi_c, nb, drive, -0.7, log_u)
-        _ising_py.sweep_spins(phi_p, nb, drive, -0.7, log_u)
-        assert np.array_equal(phi_c, phi_p)
+        nb = awkward_table(rng, d)
+        phi_w = rng.choice(np.array([-1, 1], dtype=np.int8), d)
+        phi_r = phi_w.copy()
+        st = new_state(nb)
+        for beta in (-0.7, 0.0, 1.3):
+            for _ in range(20):
+                drive = rng.standard_normal(d)
+                log_u = np.log(rng.random(d))
+                spins = np.append(phi_w.astype(float), 0.0)
+                sweep_spins(spins, st.levels, drive, beta, log_u)
+                phi_w[:] = spins[:d]
+                raster_sweep(phi_r, nb, drive, beta, log_u)
+                assert np.array_equal(phi_w, phi_r)
+
+    @pytest.mark.parametrize("nx,ny", [(26, 17), (52, 34)])
+    def test_estimate_matches_raster_replay(self, nx, ny):
+        nb = build_neighbor_graph(build_regular_mesh(nx, ny, 1.6, 1.0))
+        mu = 0.3 * np.random.default_rng(5).standard_normal(len(nb))
+        st = new_state(nb, mu)
+        pm = estimate_phi_mean(st, mu, 500, 100, np.random.default_rng(777))
+        pm_r, phi_r, beta_r = raster_phi_mean(nb, mu, 500, 100, np.random.default_rng(777))
+        assert np.array_equal(pm, pm_r)
+        assert np.array_equal(st.phi, phi_r)
+        assert st.beta == beta_r
 
     def test_spins_stay_binary(self, rng):
         mesh = build_regular_mesh(6, 4, 1.0, 1.0)

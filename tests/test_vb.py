@@ -20,7 +20,6 @@ from vbdesign.vb import (
     sample_designs,
     sensitive_directions,
     vb_expectation,
-    vb_expectation_constrained,
 )
 
 
@@ -112,8 +111,8 @@ class TestConstrainedExpectation:
     def test_zero_gradient_reduces_to_unconstrained(self, rng):
         G_theta, G_z, params, prior, tau_Q, _ = toy_vb_instance(rng)
         st0 = vb_expectation(G_theta, G_z, params, prior, tau_Q)
-        st1 = vb_expectation_constrained(G_theta, G_z, params, prior, tau_Q,
-                                         np.zeros(params.d_z), 1e-10)
+        st1 = vb_expectation(G_theta, G_z, params, prior, tau_Q,
+                             f=np.zeros(params.d_z), eps_c2=1e-10)
         assert np.allclose(st0.C_yy, st1.C_yy)
         assert st0.tau_z == pytest.approx(st1.tau_z)
 
@@ -121,14 +120,14 @@ class TestConstrainedExpectation:
         G_theta, G_z, params, prior, tau_Q, _ = toy_vb_instance(rng)
         f = params.W @ rng.standard_normal(params.d_y)
         st0 = vb_expectation(G_theta, G_z, params, prior, tau_Q)
-        st1 = vb_expectation_constrained(G_theta, G_z, params, prior, tau_Q, f, 1e-10)
+        st1 = vb_expectation(G_theta, G_z, params, prior, tau_Q, f=f, eps_c2=1e-10)
         assert st1.tau_z == pytest.approx(st0.tau_z, rel=1e-12)
 
     def test_constraint_variance_pinched(self, rng):
         G_theta, G_z, params, prior, tau_Q, _ = toy_vb_instance(rng)
         f = params.W @ np.eye(params.d_y)[:, 0]  # unit vector in span(W)
         eps_c2 = 1e-10
-        st = vb_expectation_constrained(G_theta, G_z, params, prior, tau_Q, f, eps_c2)
+        st = vb_expectation(G_theta, G_z, params, prior, tau_Q, f=f, eps_c2=eps_c2)
         W = params.W
         C_zz = W @ st.C_yy @ W.T + (np.eye(params.d_z) - W @ W.T) / st.tau_z
         assert float(f @ C_zz @ f) <= 2 * eps_c2
