@@ -34,7 +34,7 @@ longer changes above its float noise, and the run ends there.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.linalg as sla
@@ -45,6 +45,7 @@ from .vb import PriorConfig
 
 TAIL_TOL = 1e-8     # step tolerance of the frozen, feasible tail (at most tol)
 ANDERSON_DEPTH = 5  # Gauss-Newton step differences mixed in the tail
+MAX_HALVINGS = 30   # damping halvings before an iteration stalls
 
 
 @dataclass
@@ -63,7 +64,6 @@ class MapIterate:
 class MapOptions:
     tol: float = 1e-5
     max_iter: int = 100
-    max_halvings: int = 30
     c_z0: float = 100.0         # design-mean prior variance (see notes)
     fix_theta: bool = False
     gibbs_sweeps: int = 500
@@ -95,14 +95,15 @@ class MapResult:
 
 def gn_step(iterate: MapIterate, prior: PriorConfig, tau_Q: float,
             c_z0: float = 1e10, ising=None, constraint=None,
-            fix_theta: bool = False, return_multiplier: bool = False,
-            curvature_z=None):
-    """One Gauss-Newton step, optionally with the linearized equality
-    constraint satisfied exactly via a single multiplier.
+            fix_theta: bool = False):
+    """One Gauss-Newton step (dt, dz, nu, dv), optionally with the
+    linearized equality constraint satisfied exactly via the multiplier nu;
+    dv is dt in whitened coordinates.
 
     ising, when given, is (phi_mean, m, s2) and replaces the vague design
     regularizer by the bimodal-prior pull; constraint is (c, f) at the
-    current mu_z.
+    current mu_z. With fix_theta the theta block drops out (zero Jacobian
+    and gradient), so dt = dv = 0.
     """
     r = iterate.residual
     Gt = iterate.G_theta
@@ -118,35 +119,17 @@ def gn_step(iterate: MapIterate, prior: PriorConfig, tau_Q: float,
     else:
         rz = np.full(iterate.mu_z.shape[0], 1.0 / c_z0)
         h_z = tau_Q * (Gz.T @ r) - iterate.mu_z / c_z0
-    if curvature_z is not None:
-        # cheap nonnegative part of the design-block Newton curvature;
-        # stabilizes the step without moving the fixed point
-        rz = rz + np.maximum(curvature_z, 0.0)
 
     if fix_theta:
-        S = np.eye(n) / tau_Q + (Gz / rz) @ Gz.T
-        cho = sla.cho_factor(0.5 * (S + S.T), lower=True)
-
-        def solve_z(b_z):
-            t = b_z / rz
-            w = sla.cho_solve(cho, Gz @ t)
-            return t - (Gz.T @ w) / rz
-
-        dz = solve_z(h_z)
-        if constraint is not None:
-            c, f = constraint
-            q2 = solve_z(f)
-            nu = -(c + f @ dz) / (f @ q2)
-            dz = dz + nu * q2
-        dt = np.zeros(iterate.mu_theta.shape[0])
-        return (dt, dz, nu) if return_multiplier else (dt, dz)
-
-    # whitened theta coordinates: A = G_theta L, gradient L^T g_theta - v
-    v = iterate.v_white
-    if v is None:
-        v = sla.solve_triangular(fp.chol, iterate.mu_theta - fp.mean, lower=True)
-    A = Gt @ fp.chol
-    h_v = A.T @ (tau_Q * r) - v
+        A = np.zeros_like(Gt)
+        h_v = np.zeros(Gt.shape[1])
+    else:
+        # whitened theta coordinates: A = G_theta L, gradient L^T g_theta - v
+        v = iterate.v_white
+        if v is None:
+            v = sla.solve_triangular(fp.chol, iterate.mu_theta - fp.mean, lower=True)
+        A = Gt @ fp.chol
+        h_v = A.T @ (tau_Q * r) - v
     S = np.eye(n) / tau_Q + A @ A.T + (Gz / rz) @ Gz.T
     try:
         cho = sla.cho_factor(0.5 * (S + S.T), lower=True)
@@ -169,9 +152,7 @@ def gn_step(iterate: MapIterate, prior: PriorConfig, tau_Q: float,
         dv = dv + nu * q2v
         dz = dz + nu * q2z
     dt = fp.chol @ dv
-    if return_multiplier:
-        return dt, dz, nu, dv
-    return dt, dz
+    return dt, dz, nu, dv
 
 
 def optimize_map(model, prior: PriorConfig, options: MapOptions = None,
@@ -192,13 +173,16 @@ def optimize_map(model, prior: PriorConfig, options: MapOptions = None,
     else:
         mu_z = np.zeros(model.d_z)
 
-    neighbors = topo_prior.build_neighbor_graph(model.mesh) if constrained else None
+    # the sweep schedule depends on the neighbor graph only: build it once
+    chain = topo_prior.new_state(topo_prior.build_neighbor_graph(model.mesh),
+                                 m=opts.prior_m, s2=opts.prior_s2) if constrained else None
 
     def phi_estimate(mz):
-        # fresh chain and fixed stream each call: <phi> is a deterministic
-        # function of mu_z, so late-iteration steps are noise-free
+        # fresh chain (spins from sign(mz), beta = 0) and fixed stream each
+        # call: <phi> is a deterministic function of mu_z, so late-iteration
+        # steps are noise-free
         rng = np.random.default_rng(opts.gibbs_seed)
-        st = topo_prior.new_state(neighbors, mz, m=opts.prior_m, s2=opts.prior_s2)
+        st = replace(chain, phi=topo_prior.data_side_spins(mz))
         return topo_prior.estimate_phi_mean(
             st, mz, opts.gibbs_sweeps, opts.gibbs_burn_in, rng)
 
@@ -237,15 +221,9 @@ def optimize_map(model, prior: PriorConfig, options: MapOptions = None,
         cons = None
         if constrained:
             cons = constraint_value_and_gradient(model.constraint, mu_z)
-        if opts.fix_theta:
-            dt, dz, nu = gn_step(iterate, prior, model.tau_Q, c_z0=opts.c_z0,
-                                 ising=ising, constraint=cons, fix_theta=True,
-                                 return_multiplier=True)
-            dv = np.zeros_like(v)
-        else:
-            dt, dz, nu, dv = gn_step(iterate, prior, model.tau_Q, c_z0=opts.c_z0,
-                                     ising=ising, constraint=cons,
-                                     return_multiplier=True)
+        dt, dz, nu, dv = gn_step(iterate, prior, model.tau_Q, c_z0=opts.c_z0,
+                                 ising=ising, constraint=cons,
+                                 fix_theta=opts.fix_theta)
         if constrained:
             # l1 merit weight above the current multiplier scale keeps
             # feasibility restoration acceptable to the damping test; the
@@ -302,7 +280,7 @@ def optimize_map(model, prior: PriorConfig, options: MapOptions = None,
             # regrow only after a clean first-try acceptance
             alpha = alpha_start
             accepted = False
-            for _ in range(opts.max_halvings + 1):
+            for _ in range(MAX_HALVINGS + 1):
                 mt_try = mu_theta + alpha * dt
                 mz_try = mu_z + alpha * dz
                 if tail:

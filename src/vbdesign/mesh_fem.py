@@ -211,41 +211,34 @@ def element_dofs(mesh: Mesh, ndof_per_node: int) -> np.ndarray:
 
 @dataclass
 class BoundaryConditions:
-    """Dirichlet values per dof plus nodal point loads, resolved on a mesh."""
+    """Clamped dofs (held at zero) and nodal point loads, resolved on a mesh."""
 
-    fixed_dofs: np.ndarray
-    fixed_values: np.ndarray
+    free: np.ndarray        # sorted ids of the dofs that are not clamped
     point_loads: list
     ndof_per_node: int
     ndof: int
 
     @classmethod
-    def build(cls, mesh: Mesh, ndof_per_node: int, dirichlet: dict, point_loads=None,
-              neumann_tags=()):
-        """dirichlet maps boundary tag -> value (scalar field) or per-dof tuple.
+    def build(cls, mesh: Mesh, ndof_per_node: int, clamped, point_loads=None):
+        """clamped names the boundary tags whose dofs are all held at zero.
 
         point_loads is a list of (node, local_dof, magnitude).
         """
-        if neumann_tags and set(neumann_tags) & set(dirichlet):
-            raise ValueError("Dirichlet and Neumann tags must be disjoint")
-        fixed = {}
-        for tag, val in dirichlet.items():
+        ndof = ndof_per_node * mesh.n_nodes
+        is_fixed = np.zeros(ndof, dtype=bool)
+        for tag in clamped:
             nodes = boundary_nodes(mesh, tag)
             if nodes.size == 0:
                 raise ValueError(f"unknown boundary tag {tag!r}")
-            vals = np.broadcast_to(np.atleast_1d(np.asarray(val, dtype=float)), (ndof_per_node,))
-            for n in nodes:
-                for k in range(ndof_per_node):
-                    fixed[ndof_per_node * n + k] = vals[k]
-        if not fixed:
-            raise ValueError("at least one Dirichlet dof is required")
-        dofs = np.array(sorted(fixed), dtype=np.int64)
-        values = np.array([fixed[d] for d in dofs])
-        return cls(dofs, values, list(point_loads or []), ndof_per_node,
-                   ndof_per_node * mesh.n_nodes)
+            for k in range(ndof_per_node):
+                is_fixed[ndof_per_node * nodes + k] = True
+        if not is_fixed.any():
+            raise ValueError("at least one clamped dof is required")
+        return cls(np.flatnonzero(~is_fixed), list(point_loads or []),
+                   ndof_per_node, ndof)
 
-    def load_vector(self, base=None) -> np.ndarray:
-        f = np.zeros(self.ndof) if base is None else np.array(base, dtype=float)
+    def load_vector(self) -> np.ndarray:
+        f = np.zeros(self.ndof)
         for node, dof, mag in self.point_loads:
             f[self.ndof_per_node * int(node) + int(dof)] += mag
         return f
@@ -259,12 +252,10 @@ class SystemSolution:
     outputs: np.ndarray
     K_factorization: object
     free: np.ndarray
-    fixed: np.ndarray
     residual_rel: float
-    observation: sp.spmatrix
 
     def adjoint(self, rhs_full: np.ndarray) -> np.ndarray:
-        """Solve K^T lam = rhs for each column; Dirichlet dofs of lam are zero.
+        """Solve K^T lam = rhs for each column; clamped dofs of lam are zero.
 
         The operator is symmetric so the forward factorization is reused.
         """
@@ -279,20 +270,15 @@ class SystemSolution:
 
 def solve_forward(K: sp.spmatrix, bc: BoundaryConditions, load: np.ndarray,
                   observation: sp.spmatrix = None) -> SystemSolution:
-    """Direct sparse solve of the Dirichlet-constrained system.
+    """Direct sparse solve of the system with the clamped dofs held at zero.
 
     outputs = observation.T @ nodal_field when an observation operator is
     given (columns are output functionals), else the full field.
     """
-    ndof = K.shape[0]
-    fixed = bc.fixed_dofs
-    free = np.setdiff1d(np.arange(ndof), fixed, assume_unique=False)
-    u = np.zeros(ndof)
-    u[fixed] = bc.fixed_values
-
-    Kcsc = K.tocsc()
-    Kff = Kcsc[np.ix_(free, free)]
-    rhs = np.asarray(load, dtype=float)[free] - Kcsc[np.ix_(free, fixed)] @ u[fixed]
+    free = bc.free
+    u = np.zeros(K.shape[0])
+    Kff = K.tocsc()[np.ix_(free, free)]
+    rhs = np.asarray(load, dtype=float)[free]
     try:
         lu = spla.splu(Kff.tocsc())
     except RuntimeError as exc:
@@ -316,7 +302,7 @@ def solve_forward(K: sp.spmatrix, bc: BoundaryConditions, load: np.ndarray,
     if residual_rel > 1e-3:
         raise SingularSystemError(_estimate_nullity(Kff))
     outputs = observation.T @ u if observation is not None else u.copy()
-    return SystemSolution(u, np.asarray(outputs), lu.solve, free, fixed, residual_rel, observation)
+    return SystemSolution(u, np.asarray(outputs), lu.solve, free, residual_rel)
 
 
 def _estimate_nullity(Kff, tol=1e-10):
@@ -336,7 +322,7 @@ def element_bilinear(ke_unit: np.ndarray, dof_map: np.ndarray, lam: np.ndarray,
                      u: np.ndarray) -> np.ndarray:
     """Per-element lam^T K_e u for every adjoint column.
 
-    lam has shape (ndof, n_out); returns (n_out, n_elem). Dirichlet dofs must
+    lam has shape (ndof, n_out); returns (n_out, n_elem). Clamped dofs must
     already be zeroed in lam, which element gathering handles implicitly.
     """
     w = np.einsum("eab,eb->ea", ke_unit, u[dof_map])

@@ -125,7 +125,7 @@ class HeatFluxProblem(ForwardModel):
         self.n = self.u_target.shape[0]
         self.constraint = None
 
-        self.bc = BoundaryConditions.build(mesh, 1, {"right": 0.0})
+        self.bc = BoundaryConditions.build(mesh, 1, ("right",))
         self.design_nodes = boundary_nodes(mesh, "left")
         self.d_z = self.design_nodes.shape[0]
         self.B = self._design_load_matrix()
@@ -180,7 +180,7 @@ class TopologyProblem(ForwardModel):
         nx, ny, Lx, Ly = mesh.grid
         corner = int(np.argmin(np.sum((mesh.nodes - [Lx, 0.0]) ** 2, axis=1)))
         self.bc = BoundaryConditions.build(
-            mesh, 2, {"left": (0.0, 0.0)},
+            mesh, 2, ("left",),
             point_loads=[(corner, 1, -float(point_load))])
         self.load = self.bc.load_vector()
 

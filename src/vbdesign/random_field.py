@@ -11,6 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
+from scipy.spatial.distance import cdist
 
 
 @dataclass
@@ -43,10 +44,6 @@ class FieldPrior:
         half = sla.solve_triangular(self.chol, v, lower=True)
         return float(half @ half)
 
-    def log_density(self, theta: np.ndarray) -> float:
-        dev = np.asarray(theta) - self.mu_theta0
-        return -0.5 * (self.quad(dev) + self.d * np.log(2.0 * np.pi) + self.logdet())
-
 
 def build_covariance(centroids: np.ndarray, sigma_g2: float, x0: float,
                      mu_theta0: float = 0.0) -> FieldPrior:
@@ -60,13 +57,14 @@ def build_covariance(centroids: np.ndarray, sigma_g2: float, x0: float,
     if sigma_g2 <= 0.0:
         raise ValueError("variance must be positive")
     pts = np.asarray(centroids, dtype=float)
-    diff = pts[:, None, :] - pts[None, :, :]
-    dist = np.sqrt(np.sum(diff**2, axis=2))
-    C = sigma_g2 * np.exp(-dist / x0)
+    C = cdist(pts, pts)  # distances, turned into the kernel in place
+    C /= -x0
+    np.exp(C, out=C)
+    C *= sigma_g2
     try:
         L = np.linalg.cholesky(C)
     except np.linalg.LinAlgError:
-        C = C + 1e-10 * sigma_g2 * np.eye(C.shape[0])
+        C.flat[::C.shape[0] + 1] += 1e-10 * sigma_g2
         try:
             L = np.linalg.cholesky(C)
         except np.linalg.LinAlgError as exc:

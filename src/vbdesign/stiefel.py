@@ -13,6 +13,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+GRAD_TOL = 1e-8    # relative tangent-gradient norm that ends the ascent
+WINDOW = 5         # objective values the non-monotone line search looks back on
+RHO = 1e-4         # sufficient-decrease factor of the line search
+MAX_HALVINGS = 30  # step halvings before a step stalls
+
 
 class CayleyStepError(RuntimeError):
     """Small Cayley system singular; the caller should halve the step."""
@@ -103,9 +108,8 @@ def _qr_fix(W):
     return Q * np.sign(np.diag(R))
 
 
-def optimize_W(problem: StiefelProblem, W0: np.ndarray, max_steps: int = 100,
-               grad_tol: float = 1e-8, window: int = 5, rho: float = 1e-4,
-               max_halvings: int = 30) -> StiefelResult:
+def optimize_W(problem: StiefelProblem, W0: np.ndarray,
+               max_steps: int = 100) -> StiefelResult:
     """Ascend F_W from W0; the returned objective never falls below F_W(W0)."""
     _require_feasible(W0, tol=1e-8)
     W = W0.copy()
@@ -121,7 +125,7 @@ def optimize_W(problem: StiefelProblem, W0: np.ndarray, max_steps: int = 100,
     for it in range(max_steps):
         J = gradient_J(problem, W)
         grad_norm = float(np.linalg.norm(tangent_project(W, J)))
-        if grad_norm <= grad_tol * (1.0 + abs(F)):
+        if grad_norm <= GRAD_TOL * (1.0 + abs(F)):
             break
         G = -J  # descend the negated objective
         M = G.T @ W
@@ -152,14 +156,14 @@ def optimize_W(problem: StiefelProblem, W0: np.ndarray, max_steps: int = 100,
         g_ref = max(g_window)
         accepted = False
         trial = a
-        for _ in range(max_halvings + 1):
+        for _ in range(MAX_HALVINGS + 1):
             try:
                 W_new = cayley_step(W, G, trial)
                 F_new = objective_FW(problem, W_new)
             except (CayleyStepError, ValueError):
                 trial *= 0.5
                 continue
-            if -F_new <= g_ref - rho * trial * 0.5 * A_norm2:
+            if -F_new <= g_ref - RHO * trial * 0.5 * A_norm2:
                 accepted = True
                 break
             trial *= 0.5
@@ -176,7 +180,7 @@ def optimize_W(problem: StiefelProblem, W0: np.ndarray, max_steps: int = 100,
             F = objective_FW(problem, W)
             refixes += 1
         g_window.append(-F)
-        if len(g_window) > window:
+        if len(g_window) > WINDOW:
             g_window.pop(0)
         if F > best_F:
             best_F, best_W = F, W.copy()

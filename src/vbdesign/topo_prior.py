@@ -19,8 +19,9 @@ chain of such pairs ending at it. Within a level no site lists another, so
 all of them read the same spins that the raster scan would give them, and
 updating them together with numpy reproduces the raster trajectory bit for
 bit, also for asymmetric tables, self-loops and repeated entries. The
-schedule is built once per state by `sweep_levels`; the mesh graph has 34
-levels on a 26x17 grid and 68 on 52x34.
+schedule is built once per state by `sweep_levels`, and a chain restarted
+on the same graph can reuse it; the mesh graph has 34 levels on a 26x17
+grid and 68 on 52x34.
 """
 
 from __future__ import annotations
@@ -77,10 +78,7 @@ def new_state(neighbors: np.ndarray, mu_z=None, m: float = MODE_LOCATION,
               s2: float = MODE_VARIANCE, beta: float = 0.0) -> TopoPriorState:
     """Spins start on the data side of each mode (positive side on ties)."""
     d = neighbors.shape[0]
-    if mu_z is None:
-        phi = np.ones(d, dtype=np.int8)
-    else:
-        phi = np.where(np.asarray(mu_z) >= 0.0, 1, -1).astype(np.int8)
+    phi = np.ones(d, dtype=np.int8) if mu_z is None else data_side_spins(mu_z)
     padded = np.where(neighbors >= 0, neighbors, d)
     level = sweep_levels(neighbors)
     order = np.argsort(level, kind="stable")
@@ -89,6 +87,11 @@ def new_state(neighbors: np.ndarray, mu_z=None, m: float = MODE_LOCATION,
     levels = [(order[lo:hi], by_level[lo:hi]) for lo, hi in zip([0] + ends, ends)]
     return TopoPriorState(phi, float(beta), float(m), float(s2), neighbors,
                           np.zeros(d), padded, levels)
+
+
+def data_side_spins(mu_z) -> np.ndarray:
+    """int8 spins on the data side of each mode, +1 on ties."""
+    return np.where(np.asarray(mu_z) >= 0.0, 1, -1).astype(np.int8)
 
 
 def sweep_levels(neighbors: np.ndarray) -> np.ndarray:

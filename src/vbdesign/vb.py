@@ -7,10 +7,12 @@ and theta = mu_theta + eta_theta. The approximating density q is Gaussian
 with zero means, joint blocks (C_thth, C_thy, C_yy) over (eta_theta, y), and
 isotropic precision tau_z on the orthogonal complement of span(W).
 
-Two equivalent computational paths produce the expectation update: a direct
-dense inversion of the joint precision (small instances, oracle tests) and a
-low-rank route that exploits the output count n << d_theta so full-scale
-updates never assemble a d_theta x d_theta precision.
+`vb_expectation` always takes the low-rank route: it exploits the output
+count n << d_theta, so an update never assembles a d_theta x d_theta
+precision. `dense_expectation` inverts the dense joint precision instead; it
+is the reference the tests compare the low-rank route against, and nothing
+in the pipeline calls it. States built by hand with a dense C_thth still
+work everywhere a state is read.
 """
 
 from __future__ import annotations
@@ -172,17 +174,9 @@ def _tau_z_update(prior: PriorConfig, G_z, A, W, tau_Q, f, eps_c2):
     return prior.tau_z0 + total / k
 
 
-def vb_expectation(G_theta, G_z, params: ModelParams, prior: PriorConfig,
-                   tau_Q: float, f=None, eps_c2=None, method="auto") -> VariationalState:
-    """Closed-form optimal q for fixed point estimates.
-
-    The joint (eta_theta, y) precision is
-    [[tau_Q Gt^T Gt + C0^{-1},  tau_Q Gt^T Gz W],
-     [sym.,                     tau_Q W^T Gz^T Gz W + Py]]
-    and tau_z = tau_z0 + tau_Q Gz^T Gz : (I - W W^T) / (d_z - d_y), with the
-    soft-constraint rank-one terms added to Py and to the complement trace
-    when a constraint gradient f is supplied.
-    """
+def _q_blocks(G_theta, G_z, params: ModelParams, prior: PriorConfig, tau_Q,
+              f, eps_c2):
+    """Pieces both expectation routes share: G_theta, A = G_z W, Py, tau_z."""
     _check_orthonormal(params.W)
     W = params.W
     G_theta = np.asarray(G_theta, dtype=float)
@@ -190,30 +184,22 @@ def vb_expectation(G_theta, G_z, params: ModelParams, prior: PriorConfig,
     A = G_z @ W
     Py = _y_prior_precision(prior, W, f, eps_c2)
     tau_z = _tau_z_update(prior, G_z, A, W, tau_Q, f, eps_c2)
-    d_theta = G_theta.shape[1]
+    return G_theta, A, Py, tau_z
 
-    if method == "auto":
-        method = "dense" if d_theta <= 256 else "lowrank"
 
-    if method == "dense":
-        C0inv = prior.field_prior.solve(np.eye(d_theta))
-        top = np.hstack([tau_Q * G_theta.T @ G_theta + C0inv, tau_Q * G_theta.T @ A])
-        bot = np.hstack([top[:, d_theta:].T, tau_Q * A.T @ A + Py])
-        prec = np.vstack([top, bot])
-        prec = 0.5 * (prec + prec.T)
-        try:
-            cho = sla.cho_factor(prec, lower=True)
-        except np.linalg.LinAlgError as exc:
-            raise IndefinitePrecisionError("joint precision not positive definite") from exc
-        cov = sla.cho_solve(cho, np.eye(prec.shape[0]))
-        cov = 0.5 * (cov + cov.T)
-        return VariationalState(
-            C_yy=cov[d_theta:, d_theta:].copy(),
-            C_thy=cov[:d_theta, d_theta:].copy(),
-            tau_z=tau_z,
-            _C_thth=cov[:d_theta, :d_theta].copy(),
-        )
+def vb_expectation(G_theta, G_z, params: ModelParams, prior: PriorConfig,
+                   tau_Q: float, f=None, eps_c2=None) -> VariationalState:
+    """Closed-form optimal q for fixed point estimates, in low-rank form.
 
+    The joint (eta_theta, y) precision is
+    [[tau_Q Gt^T Gt + C0^{-1},  tau_Q Gt^T Gz W],
+     [sym.,                     tau_Q W^T Gz^T Gz W + Py]]
+    and tau_z = tau_z0 + tau_Q Gz^T Gz : (I - W W^T) / (d_z - d_y), with the
+    soft-constraint rank-one terms added to Py and to the complement trace
+    when a constraint gradient f is supplied. Its inverse is held through the
+    Woodbury identity with an n x n capacitance matrix (`LowRankFactors`).
+    """
+    G_theta, A, Py, tau_z = _q_blocks(G_theta, G_z, params, prior, tau_Q, f, eps_c2)
     fp = prior.field_prior
     n = G_theta.shape[0]
     B_th = fp.C_theta0 @ G_theta.T
@@ -232,6 +218,34 @@ def vb_expectation(G_theta, G_z, params: ModelParams, prior: PriorConfig,
     C_thy = -B_th @ sla.cho_solve(S_cho, B_y.T)
     lr = LowRankFactors(fp, G_theta, A, Py, Py_cho, B_th, B_y, S_cho, tau_Q)
     return VariationalState(C_yy=C_yy, C_thy=C_thy, tau_z=tau_z, lowrank=lr)
+
+
+def dense_expectation(G_theta, G_z, params: ModelParams, prior: PriorConfig,
+                      tau_Q: float, f=None, eps_c2=None) -> VariationalState:
+    """The q of `vb_expectation` by inverting the dense joint precision.
+
+    The tests' reference for the low-rank route; it costs a
+    (d_theta + d_y)^2 inverse, so the pipeline never calls it.
+    """
+    G_theta, A, Py, tau_z = _q_blocks(G_theta, G_z, params, prior, tau_Q, f, eps_c2)
+    d_theta = G_theta.shape[1]
+    C0inv = prior.field_prior.solve(np.eye(d_theta))
+    top = np.hstack([tau_Q * G_theta.T @ G_theta + C0inv, tau_Q * G_theta.T @ A])
+    bot = np.hstack([top[:, d_theta:].T, tau_Q * A.T @ A + Py])
+    prec = np.vstack([top, bot])
+    prec = 0.5 * (prec + prec.T)
+    try:
+        cho = sla.cho_factor(prec, lower=True)
+    except np.linalg.LinAlgError as exc:
+        raise IndefinitePrecisionError("joint precision not positive definite") from exc
+    cov = sla.cho_solve(cho, np.eye(prec.shape[0]))
+    cov = 0.5 * (cov + cov.T)
+    return VariationalState(
+        C_yy=cov[d_theta:, d_theta:].copy(),
+        C_thy=cov[:d_theta, d_theta:].copy(),
+        tau_z=tau_z,
+        _C_thth=cov[:d_theta, :d_theta].copy(),
+    )
 
 
 def evaluate_F(state: VariationalState, params: ModelParams, prior: PriorConfig,
@@ -343,10 +357,6 @@ class VbemResult:
     iterations: int
     converged: bool
 
-    @property
-    def F_trace(self):
-        return [fw for _, fw in self.F_history]
-
 
 def initial_W(d_z: int, d_y: int, rng: np.random.Generator) -> np.ndarray:
     """Orthonormalized standard-normal basis."""
@@ -357,7 +367,7 @@ def initial_W(d_z: int, d_y: int, rng: np.random.Generator) -> np.ndarray:
 def run_vbem(G_theta, G_z, params: ModelParams, prior: PriorConfig, tau_Q: float,
              residual, f=None, eps_c2=None, w_steps: int = 100,
              max_iters: int = 200, ftol: float = 1e-8,
-             log_p_mu_z: float = 0.0, method="auto") -> VbemResult:
+             log_p_mu_z: float = 0.0) -> VbemResult:
     """Alternate the closed-form q update with Cayley ascent on the basis.
 
     Point estimates stay fixed here; no forward solves occur. Stops when the
@@ -370,7 +380,7 @@ def run_vbem(G_theta, G_z, params: ModelParams, prior: PriorConfig, tau_Q: float
     state = None
     for _ in range(max_iters):
         state = vb_expectation(G_theta, G_z, params, prior, tau_Q,
-                               f=f, eps_c2=eps_c2, method=method)
+                               f=f, eps_c2=eps_c2)
         F_q = evaluate_F(state, params, prior, tau_Q, residual, G_theta, G_z, **fkw)
 
         problem = stiefel.StiefelProblem(
@@ -391,5 +401,5 @@ def run_vbem(G_theta, G_z, params: ModelParams, prior: PriorConfig, tau_Q: float
     converged = streak >= 3
     # refresh q so the returned state matches the final basis
     state = vb_expectation(G_theta, G_z, params, prior, tau_Q,
-                           f=f, eps_c2=eps_c2, method=method)
+                           f=f, eps_c2=eps_c2)
     return VbemResult(state, params, history, len(history), converged)

@@ -339,7 +339,7 @@ def test_criterion_6_oracle_equivalences(rng):
     mu_z = rng.standard_normal(4)
     u = lm.evaluate(mu_t, mu_z)
     it = map_opt.MapIterate(mu_t, mu_z, lm.u_target - u, lm.G_theta, lm.G_z, 1, 0.0)
-    dt, dz = map_opt.gn_step(it, pr, lm.tau_Q, c_z0=50.0)
+    dt, dz, _, _ = map_opt.gn_step(it, pr, lm.tau_Q, c_z0=50.0)
     C0inv = np.linalg.inv(fp.C_theta0)
     H = np.block([[lm.tau_Q * lm.G_theta.T @ lm.G_theta + C0inv,
                    lm.tau_Q * lm.G_theta.T @ lm.G_z],

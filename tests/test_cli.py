@@ -92,6 +92,10 @@ class TestRunPipeline:
         assert (out / "direction_01.csv").exists()
         assert (out / "designs_level_0.95.csv").exists()
 
+    def test_pipeline_takes_lowrank_route(self, heat_run):
+        _, art = heat_run
+        assert art.vbem.state.lowrank is not None
+
     def test_forward_call_identity(self, heat_run):
         out, art = heat_run
         man = dict(line.split(" = ") for line in

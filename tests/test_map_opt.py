@@ -31,7 +31,7 @@ class TestGnStep:
         mu_z = rng.standard_normal(model.d_z)
         u = model.evaluate(mu_t, mu_z)
         it = MapIterate(mu_t, mu_z, model.u_target - u, model.G_theta, model.G_z, 1, 0.0)
-        dt, dz = gn_step(it, prior, model.tau_Q, c_z0=c_z0)
+        dt, dz, _, _ = gn_step(it, prior, model.tau_Q, c_z0=c_z0)
 
         fp = prior.field_prior
         C0inv = np.linalg.inv(fp.C_theta0)
@@ -57,7 +57,7 @@ class TestGnStep:
         model.u_target = model.evaluate(mu_t, mu_z)  # residual zero at priors
         u = model.evaluate(mu_t, mu_z)
         it = MapIterate(mu_t, mu_z, model.u_target - u, model.G_theta, model.G_z, 1, 0.0)
-        dt, dz = gn_step(it, prior, model.tau_Q, c_z0=1e10)
+        dt, dz, _, _ = gn_step(it, prior, model.tau_Q, c_z0=1e10)
         assert np.max(np.abs(dt)) < 1e-12
         assert np.max(np.abs(dz)) < 1e-12
 
@@ -69,7 +69,7 @@ class TestGnStep:
         it = MapIterate(mu_t, mu_z, model.u_target - u, model.G_theta, model.G_z, 1, 0.0)
         f = rng.standard_normal(model.d_z)
         c = 0.17
-        dt, dz = gn_step(it, prior, model.tau_Q, c_z0=10.0, constraint=(c, f))
+        dt, dz, _, _ = gn_step(it, prior, model.tau_Q, c_z0=10.0, constraint=(c, f))
         assert c + f @ dz == pytest.approx(0.0, abs=1e-12)
 
     def test_constrained_step_on_sigmoid_toy(self, rng):
@@ -84,7 +84,7 @@ class TestGnStep:
         c, f = constraint_value_and_gradient(desc, mu_z)
         it = MapIterate(mu_t, mu_z, model.u_target - u, model.G_theta, model.G_z, 1, 0.0)
         # prior centered at the current design isolates the restoration move
-        dt, dz = gn_step(it, prior, model.tau_Q,
+        dt, dz, _, _ = gn_step(it, prior, model.tau_Q,
                          ising=(mu_z, 1.0, 1.0), constraint=(c, f))
         c_new, _ = constraint_value_and_gradient(desc, mu_z + dz)
         assert abs(c_new) <= abs(c) * 1e-2 + 1e-8
@@ -95,7 +95,7 @@ class TestGnStep:
         mu_z = rng.standard_normal(model.d_z)
         u = model.evaluate(mu_t, mu_z)
         it = MapIterate(mu_t, mu_z, model.u_target - u, model.G_theta, model.G_z, 1, 0.0)
-        dt, dz = gn_step(it, prior, model.tau_Q, c_z0=7.0, fix_theta=True)
+        dt, dz, _, _ = gn_step(it, prior, model.tau_Q, c_z0=7.0, fix_theta=True)
         assert np.all(dt == 0.0)
         Gz, tq = model.G_z, model.tau_Q
         H = tq * Gz.T @ Gz + np.eye(model.d_z) / 7.0

@@ -108,7 +108,7 @@ class TestAssembleDiffusion:
         # unit flux on the left, zero Dirichlet on the right: u = Lx - x
         m = build_regular_mesh(10, 1, 2.0, 0.1)
         K = assemble_diffusion(m, np.ones(m.n_elements))
-        bc = BoundaryConditions.build(m, 1, {"right": 0.0})
+        bc = BoundaryConditions.build(m, 1, ("right",))
         load = edge_mass_loads(m, "left", {n: 1.0 for n in boundary_nodes(m, "left")})
         sol = solve_forward(K, bc, load)
         assert np.max(np.abs(sol.nodal_field - (2.0 - m.nodes[:, 0]))) < 1e-10
@@ -127,7 +127,7 @@ class TestAssembleElasticity:
 
     def test_modulus_scaling_inverts_displacement(self):
         m = build_regular_mesh(6, 3, 2.0, 1.0)
-        bc = BoundaryConditions.build(m, 2, {"left": (0.0, 0.0)},
+        bc = BoundaryConditions.build(m, 2, ("left",),
                                       point_loads=[(m.n_nodes - 1, 1, -1e-3)])
         load = bc.load_vector()
         u1 = solve_forward(assemble_elasticity(m, np.ones(m.n_elements)), bc, load).nodal_field
@@ -147,7 +147,7 @@ class TestAssembleElasticity:
         def tip_u1(nx, ny):
             m = build_regular_mesh(nx, ny, 2.0, 1.0)
             K = assemble_elasticity(m, np.ones(m.n_elements), 0.3)
-            bc = BoundaryConditions.build(m, 2, {"left": (0.0, 0.0)})
+            bc = BoundaryConditions.build(m, 2, ("left",))
             load = np.zeros(2 * m.n_nodes)
             right = boundary_nodes(m, "right")
             h = 1.0 / ny
@@ -167,14 +167,14 @@ class TestSolveForward:
     def test_zero_load_zero_field(self):
         m = build_regular_mesh(3, 3, 1.0, 1.0)
         K = assemble_diffusion(m, np.ones(m.n_elements))
-        bc = BoundaryConditions.build(m, 1, {"right": 0.0})
+        bc = BoundaryConditions.build(m, 1, ("right",))
         sol = solve_forward(K, bc, np.zeros(m.n_nodes))
         assert np.all(sol.nodal_field == 0.0)
 
     def test_residual_small(self):
         m = build_regular_mesh(6, 4, 2.0, 1.0)
         K = assemble_diffusion(m, np.linspace(0.5, 2.0, m.n_elements))
-        bc = BoundaryConditions.build(m, 1, {"right": 0.0})
+        bc = BoundaryConditions.build(m, 1, ("right",))
         load = edge_mass_loads(m, "left", {n: 1.0 for n in boundary_nodes(m, "left")})
         sol = solve_forward(K, bc, load)
         assert sol.residual_rel < 1e-10
@@ -189,15 +189,25 @@ class TestSolveForward:
         m = build_regular_mesh(2, 2, 1.0, 1.0)
         K = assemble_elasticity(m, np.ones(m.n_elements), 0.3)
         # pin a single dof: two rigid modes remain
-        bc = BoundaryConditions(np.array([0]), np.array([0.0]), [], 2, 2 * m.n_nodes)
+        bc = BoundaryConditions(np.arange(1, 2 * m.n_nodes), [], 2, 2 * m.n_nodes)
         with pytest.raises(SingularSystemError) as err:
             solve_forward(K, bc, np.zeros(2 * m.n_nodes))
         assert err.value.nullity == 2
 
+    def test_build_rejects_unknown_tag(self):
+        m = build_regular_mesh(3, 3, 1.0, 1.0)
+        with pytest.raises(ValueError, match="unknown boundary tag"):
+            BoundaryConditions.build(m, 1, ("right", "middle"))
+
+    def test_build_requires_a_clamped_dof(self):
+        m = build_regular_mesh(3, 3, 1.0, 1.0)
+        with pytest.raises(ValueError, match="clamped dof"):
+            BoundaryConditions.build(m, 2, ())
+
     def test_point_load_sign(self):
         m = build_regular_mesh(6, 4, 1.6, 1.0)
         corner = int(np.argmin(np.sum((m.nodes - [1.6, 0.0]) ** 2, axis=1)))
-        bc = BoundaryConditions.build(m, 2, {"left": (0.0, 0.0)},
+        bc = BoundaryConditions.build(m, 2, ("left",),
                                       point_loads=[(corner, 1, -1e-3)])
         K = assemble_elasticity(m, np.ones(m.n_elements), 0.3)
         sol = solve_forward(K, bc, bc.load_vector())

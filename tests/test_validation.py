@@ -6,7 +6,8 @@ from scipy.stats import multivariate_normal
 
 from conftest import LinearModel, make_field_prior, toy_vb_instance
 from vbdesign.validation import _log_q_joint, estimate_nKL, sample_q
-from vbdesign.vb import ModelParams, PriorConfig, initial_W, run_vbem, vb_expectation
+from vbdesign.vb import (ModelParams, PriorConfig, dense_expectation, initial_W,
+                         run_vbem, vb_expectation)
 
 
 def linear_bundle(rng, d_theta=6, d_z=5, d_y=2, n=3):
@@ -33,9 +34,8 @@ class TestSampleQ:
 
     def test_joint_moments_match_state(self, rng):
         model, params, prior = linear_bundle(rng)
-        for method in ("dense", "lowrank"):
-            st = vb_expectation(model.G_theta, model.G_z, params, prior,
-                                model.tau_Q, method=method)
+        for expectation in (dense_expectation, vb_expectation):
+            st = expectation(model.G_theta, model.G_z, params, prior, model.tau_Q)
             M = 10_000
             draws = [sample_q(st, params, rng) for _ in range(M)]
             x = np.array([np.concatenate([a, b]) for a, b, _ in draws])
@@ -85,7 +85,7 @@ class TestLogQJoint:
                                              d_y=d_y, n=n)
         f = rng.uniform(0.5, 1.5, d_z) / d_z
         st = vb_expectation(model.G_theta, model.G_z, params, prior, model.tau_Q,
-                            f=f, eps_c2=1e-3, method="lowrank")
+                            f=f, eps_c2=1e-3)
         cov = st.joint_cov()
         x = rng.multivariate_normal(np.zeros(d_theta + d_y), cov, size=50)
         expect = multivariate_normal(np.zeros(d_theta + d_y), cov).logpdf(x)
@@ -155,9 +155,9 @@ class TestEstimateNKL:
     def test_lowrank_and_dense_weights_consistent(self, rng):
         model, params, prior = exact_bundle(rng, d_theta=12)
         out = {}
-        for method in ("dense", "lowrank"):
-            st = vb_expectation(model.G_theta, model.G_z, params, prior,
-                                model.tau_Q, method=method)
+        for method, expectation in (("dense", dense_expectation),
+                                    ("lowrank", vb_expectation)):
+            st = expectation(model.G_theta, model.G_z, params, prior, model.tau_Q)
             rep = estimate_nKL(model, st, params, prior, 400,
                                np.random.default_rng(21))
             out[method] = rep

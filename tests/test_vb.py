@@ -15,6 +15,7 @@ from conftest import make_field_prior, toy_vb_instance
 from vbdesign.vb import (
     ModelParams,
     PriorConfig,
+    dense_expectation,
     evaluate_F,
     run_vbem,
     sample_designs,
@@ -51,17 +52,22 @@ class TestVbExpectation:
         assert st.tau_z == pytest.approx(prior.tau_z0 + 0.0)
 
     def test_dense_and_lowrank_paths_agree(self, rng):
-        G_theta, G_z, params, prior, tau_Q, _ = toy_vb_instance(
-            rng, d_theta=30, d_z=8, d_y=3, n=4)
-        f = rng.standard_normal(params.d_z)
-        for kw in ({}, dict(f=f, eps_c2=1e-4)):
-            sd = vb_expectation(G_theta, G_z, params, prior, tau_Q, method="dense", **kw)
-            sl = vb_expectation(G_theta, G_z, params, prior, tau_Q, method="lowrank", **kw)
-            assert np.allclose(sd.C_thth, sl.C_thth, atol=1e-9)
-            assert np.allclose(sd.C_thy, sl.C_thy, atol=1e-9)
-            assert np.allclose(sd.C_yy, sl.C_yy, atol=1e-9)
-            assert sd.tau_z == pytest.approx(sl.tau_z)
-            assert sd.logdet_joint_cov() == pytest.approx(sl.logdet_joint_cov(), abs=1e-8)
+        # vb_expectation against the dense reference on both sides of the
+        # size that once switched between them
+        for d_theta in (1, 30, 300):
+            G_theta, G_z, params, prior, tau_Q, _ = toy_vb_instance(
+                rng, d_theta=d_theta, d_z=8, d_y=3, n=4)
+            f = rng.standard_normal(params.d_z)
+            for kw in ({}, dict(f=f, eps_c2=1e-4)):
+                sd = dense_expectation(G_theta, G_z, params, prior, tau_Q, **kw)
+                sl = vb_expectation(G_theta, G_z, params, prior, tau_Q, **kw)
+                assert sd.lowrank is None and sl.lowrank is not None
+                assert np.allclose(sd.C_thth, sl.C_thth, atol=1e-9)
+                assert np.allclose(sd.C_thy, sl.C_thy, atol=1e-9)
+                assert np.allclose(sd.C_yy, sl.C_yy, atol=1e-9)
+                assert sd.tau_z == pytest.approx(sl.tau_z)
+                assert sd.logdet_joint_cov() == pytest.approx(sl.logdet_joint_cov(),
+                                                              abs=1e-8)
 
     def test_closed_form_matches_brute_force_maximization(self, rng):
         # d_theta=2, d_y=1, d_z=3: optimize F numerically over the Cholesky
