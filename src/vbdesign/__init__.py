@@ -6,7 +6,13 @@ forward models, the point-estimate and variational solvers, sensitive
 direction extraction, and an importance-sampling accuracy check.
 """
 
-from .mesh_fem import build_regular_mesh, assemble_diffusion, assemble_elasticity, solve_forward
+from .mesh_fem import (
+    StiffnessPattern,
+    assemble_diffusion,
+    assemble_elasticity,
+    build_regular_mesh,
+    solve_forward,
+)
 from .random_field import build_covariance, sample_log_field
 from .problems import (
     ConstraintDescriptor,

@@ -2,9 +2,14 @@
 forward problems (steady diffusion, plane-stress elastostatics).
 
 Element coefficients (conductivity, Young's modulus) are constant per
-triangle, so one-point quadrature is exact. Assembled operators are sparse
-and symmetric; the forward factorization is retained and reused for all
-adjoint right-hand sides.
+triangle, so one-point quadrature is exact. Each problem builds a
+StiffnessPattern once: the CSC pattern of the free-free block, with the
+slot of every kept element entry. An assembly is then one weighted
+bincount into that fixed pattern; clamped dofs are never assembled. The
+block is symmetric positive definite, so solve_forward factors it with
+SuperLU in symmetric mode (minimum-degree ordering on A^T + A, diagonal
+pivots), and the factorization is retained and reused for all adjoint
+right-hand sides.
 """
 
 from __future__ import annotations
@@ -159,39 +164,64 @@ def unit_elasticity_element_matrices(mesh: Mesh, nu: float) -> np.ndarray:
     B[:, 2, 0::2] = cvec
     B[:, 2, 1::2] = bvec
     D = np.array([[1.0, nu, 0.0], [nu, 1.0, 0.0], [0.0, 0.0, 1.0 - nu]]) / (1.0 - nu**2)
-    ke = np.einsum("eia,ij,ejb->eab", B, D, B)
+    ke = B.transpose(0, 2, 1) @ D @ B
     return ke / (4.0 * area)[:, None, None]
 
 
-def _assemble(dof_map: np.ndarray, ke: np.ndarray, ndof: int) -> sp.csc_matrix:
-    npe = dof_map.shape[1]
-    rows = np.repeat(dof_map, npe, axis=1).ravel()
-    cols = np.tile(dof_map, (1, npe)).ravel()
-    K = sp.coo_matrix((ke.ravel(), (rows, cols)), shape=(ndof, ndof))
-    return K.tocsc()
+@dataclass(frozen=True)
+class StiffnessPattern:
+    """Fixed CSC pattern of the kept block of an element-assembled operator.
+
+    Built once per problem from the element dof map, the unit element
+    matrices and the sorted dofs to keep. Every element entry whose row and
+    column are both kept has its CSC slot, its unit value and its element,
+    so an assembly is one weighted bincount into the fixed pattern.
+    """
+
+    indices: np.ndarray
+    indptr: np.ndarray
+    slot: np.ndarray
+    ke: np.ndarray
+    elem: np.ndarray
+    n_elements: int
+
+    @classmethod
+    def build(cls, dof_map: np.ndarray, ke_unit: np.ndarray, keep: np.ndarray):
+        n = keep.size
+        local = np.full(int(dof_map.max()) + 1, -1, dtype=np.int64)
+        local[keep] = np.arange(n)
+        ld = local[dof_map]
+        kept = (ld[:, :, None] >= 0) & (ld[:, None, :] >= 0)
+        # sorting by column, then row, gives the canonical CSC order
+        key = ld[:, None, :] * n + ld[:, :, None]
+        keys, slot = np.unique(key[kept], return_inverse=True)
+        indptr = np.zeros(n + 1, dtype=np.int32)
+        np.cumsum(np.bincount(keys // n, minlength=n), out=indptr[1:])
+        elem = np.repeat(np.arange(dof_map.shape[0]), kept.sum(axis=(1, 2)))
+        return cls((keys % n).astype(np.int32), indptr, slot, ke_unit[kept], elem,
+                   dof_map.shape[0])
+
+    def assemble(self, coef: np.ndarray, name: str) -> sp.csc_matrix:
+        """Sum of coef[e] times the kept entries of element e's unit matrix."""
+        coef = np.asarray(coef, dtype=float)
+        if coef.shape != (self.n_elements,):
+            raise ValueError(f"{name} must be one value per element")
+        if np.any(coef <= 0.0):
+            raise ValueError(f"{name} must be strictly positive")
+        data = np.bincount(self.slot, weights=self.ke * coef[self.elem],
+                           minlength=self.indices.size)
+        n = self.indptr.size - 1
+        return sp.csc_matrix((data, self.indices, self.indptr), shape=(n, n))
 
 
-def assemble_diffusion(mesh: Mesh, conductivity: np.ndarray) -> sp.csc_matrix:
-    """Sparse P1 diffusion stiffness with element-constant conductivity."""
-    conductivity = np.asarray(conductivity, dtype=float)
-    if conductivity.shape != (mesh.n_elements,):
-        raise ValueError("conductivity must be one value per element")
-    if np.any(conductivity <= 0.0):
-        raise ValueError("conductivity must be strictly positive")
-    ke = unit_diffusion_element_matrices(mesh) * conductivity[:, None, None]
-    return _assemble(mesh.triangles, ke, mesh.n_nodes)
+def assemble_diffusion(pattern: StiffnessPattern, conductivity: np.ndarray) -> sp.csc_matrix:
+    """P1 diffusion stiffness on the pattern, element-constant conductivity."""
+    return pattern.assemble(conductivity, "conductivity")
 
 
-def assemble_elasticity(mesh: Mesh, youngs: np.ndarray, nu: float = 0.3) -> sp.csc_matrix:
-    """Sparse plane-stress stiffness, 2 dofs per node, element-constant E."""
-    youngs = np.asarray(youngs, dtype=float)
-    if youngs.shape != (mesh.n_elements,):
-        raise ValueError("youngs must be one value per element")
-    if np.any(youngs <= 0.0):
-        raise ValueError("youngs modulus must be strictly positive")
-    ke = unit_elasticity_element_matrices(mesh, nu) * youngs[:, None, None]
-    dof_map = element_dofs(mesh, 2)
-    return _assemble(dof_map, ke, 2 * mesh.n_nodes)
+def assemble_elasticity(pattern: StiffnessPattern, youngs: np.ndarray) -> sp.csc_matrix:
+    """Plane-stress stiffness on the pattern, element-constant Young's modulus."""
+    return pattern.assemble(youngs, "youngs modulus")
 
 
 def element_dofs(mesh: Mesh, ndof_per_node: int) -> np.ndarray:
@@ -268,19 +298,24 @@ class SystemSolution:
         return lam[:, 0] if single else lam
 
 
-def solve_forward(K: sp.spmatrix, bc: BoundaryConditions, load: np.ndarray,
+def solve_forward(Kff: sp.csc_matrix, bc: BoundaryConditions, load: np.ndarray,
                   observation: sp.spmatrix = None) -> SystemSolution:
-    """Direct sparse solve of the system with the clamped dofs held at zero.
+    """Direct sparse solve on the free-free block; clamped dofs stay zero.
 
+    Kff is the operator restricted to bc.free (see StiffnessPattern).
     outputs = observation.T @ nodal_field when an observation operator is
     given (columns are output functionals), else the full field.
     """
     free = bc.free
-    u = np.zeros(K.shape[0])
-    Kff = K.tocsc()[np.ix_(free, free)]
+    if Kff.shape != (free.size, free.size):
+        raise ValueError(f"free-free block must be {(free.size, free.size)}, got {Kff.shape}")
+    u = np.zeros(bc.ndof)
     rhs = np.asarray(load, dtype=float)[free]
     try:
-        lu = spla.splu(Kff.tocsc())
+        # the block is SPD: diagonal pivots after a symmetric ordering are
+        # stable and fill less than partial pivoting on an unsymmetric one
+        lu = spla.splu(Kff, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                       options=dict(SymmetricMode=True))
     except RuntimeError as exc:
         raise SingularSystemError(_estimate_nullity(Kff)) from exc
     # near-void phases legitimately spread pivots over ~12 decades, so the

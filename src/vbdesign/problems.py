@@ -21,6 +21,7 @@ from . import mesh_fem
 from .mesh_fem import (
     BoundaryConditions,
     Mesh,
+    StiffnessPattern,
     assemble_diffusion,
     assemble_elasticity,
     boundary_nodes,
@@ -138,6 +139,7 @@ class HeatFluxProblem(ForwardModel):
                                    shape=(mesh.n_nodes, self.n)).tocsc()
         self._ke_unit = unit_diffusion_element_matrices(mesh)
         self._dofs = mesh.triangles
+        self.pattern = StiffnessPattern.build(self._dofs, self._ke_unit, self.bc.free)
 
     def _design_load_matrix(self):
         cols = []
@@ -146,10 +148,8 @@ class HeatFluxProblem(ForwardModel):
         return np.column_stack(cols)
 
     def _solve(self, theta, z):
-        lam = np.exp(theta)
-        K = assemble_diffusion(self.mesh, lam)
-        load = self.B @ z
-        return solve_forward(K, self.bc, load, observation=self.L_obs)
+        Kff = assemble_diffusion(self.pattern, np.exp(theta))
+        return solve_forward(Kff, self.bc, self.B @ z, observation=self.L_obs)
 
     def _jacobians(self, sol, theta, z):
         Lam = sol.adjoint(self.L_obs.toarray())
@@ -171,7 +171,6 @@ class TopologyProblem(ForwardModel):
         self.field_prior = field_prior
         self.tau_Q = float(tau_Q)
         self.u_target = np.asarray(u_target, dtype=float)
-        self.nu = nu
         self.d_theta = mesh.n_elements
         self.d_z = mesh.n_elements
         self.n = self.u_target.shape[0]
@@ -192,14 +191,15 @@ class TopologyProblem(ForwardModel):
                                    shape=(2 * mesh.n_nodes, self.n)).tocsc()
         self._ke_unit = unit_elasticity_element_matrices(mesh, nu)
         self._dofs = element_dofs(mesh, 2)
+        self.pattern = StiffnessPattern.build(self._dofs, self._ke_unit, self.bc.free)
 
     def youngs_field(self, theta, z):
         lam = np.exp(theta)
         return self.E_MIN + sigmoid(z) * (lam - self.E_MIN)
 
     def _solve(self, theta, z):
-        K = assemble_elasticity(self.mesh, self.youngs_field(theta, z), self.nu)
-        return solve_forward(K, self.bc, self.load, observation=self.L_obs)
+        Kff = assemble_elasticity(self.pattern, self.youngs_field(theta, z))
+        return solve_forward(Kff, self.bc, self.load, observation=self.L_obs)
 
     def _jacobians(self, sol, theta, z):
         Lam = sol.adjoint(self.L_obs.toarray())

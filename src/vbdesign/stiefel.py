@@ -4,12 +4,15 @@ The basis objective F_W is ascended along the orthogonality-preserving
 Cayley curve W(a) = (I + a/2 A)^{-1} (I - a/2 A) W with A built from the
 objective gradient; steps come from alternating Barzilai-Borwein formulas
 safeguarded by a non-monotone (window 5) line search. The d_z x d_z curve
-inverse is evaluated through an equivalent 2 d_y x 2 d_y system.
+inverse is evaluated through an equivalent 2 d_y x 2 d_y system; the line
+search forms the products that do not depend on the step once per step, not
+once per trial.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -39,18 +42,31 @@ class StiefelProblem:
         return self.C_yy - np.eye(self.C_yy.shape[0]) / self.tau_z
 
 
+@lru_cache(maxsize=8)
+def _eye(k):
+    """Read-only identity shared by the per-trial checks and Cayley systems."""
+    out = np.eye(k)
+    out.setflags(write=False)
+    return out
+
+
+def _drift(W):
+    return float(np.abs(W.T @ W - _eye(W.shape[1])).max())
+
+
 def _require_feasible(W, tol=1e-8):
-    drift = np.max(np.abs(W.T @ W - np.eye(W.shape[1])))
+    drift = _drift(W)
     if drift > tol:
         raise ValueError(f"W violates orthonormality by {drift:.3e}")
 
 
-def objective_FW(problem: StiefelProblem, W: np.ndarray) -> float:
+def objective_FW(problem: StiefelProblem, W: np.ndarray, Cm=None) -> float:
+    """F_W at W; a line search passes Cm = problem.shifted_C() to form it once."""
     _require_feasible(W)
-    Cm = problem.shifted_C()
+    Cm = problem.shifted_C() if Cm is None else Cm
     A = problem.G_z @ W
-    val = -0.5 * problem.tau_Q * float(np.sum((A.T @ A) * Cm))
-    val -= problem.tau_Q * float(np.sum(W * problem.cross))
+    val = -0.5 * problem.tau_Q * float(((A.T @ A) * Cm).sum())
+    val -= problem.tau_Q * float((W * problem.cross).sum())
     if problem.f is not None:
         fW = W.T @ problem.f
         val -= 0.5 / problem.eps_c2 * float(fW @ Cm @ fW)
@@ -74,23 +90,30 @@ def tangent_project(W: np.ndarray, J: np.ndarray) -> np.ndarray:
     return J - W @ (0.5 * (WtJ + WtJ.T))
 
 
-def cayley_step(W: np.ndarray, J: np.ndarray, a: float) -> np.ndarray:
+def cayley_step(W: np.ndarray, J: np.ndarray, a: float, factors=None) -> np.ndarray:
     """W' = (I + a/2 A)^{-1} (I - a/2 A) W for A = J W^T - W J^T.
 
     Computed through the rank-2d_y identity
     W' = W - a U (I + a/2 V^T U)^{-1} V^T W with U = [J, W], V = [W, -J].
+    A line search passes `factors = cayley_factors(W, J)` so that the products
+    that do not depend on a are formed once for all its trials.
     """
     if a == 0.0:
         return W.copy()
-    d_y = W.shape[1]
-    U = np.hstack([J, W])
-    V = np.hstack([W, -J])
-    small = np.eye(2 * d_y) + 0.5 * a * (V.T @ U)
+    U, VtU, VtW = cayley_factors(W, J) if factors is None else factors
+    small = _eye(VtU.shape[0]) + 0.5 * a * VtU
     try:
-        sol = np.linalg.solve(small, V.T @ W)
+        sol = np.linalg.solve(small, VtW)
     except np.linalg.LinAlgError as exc:
         raise CayleyStepError(f"Cayley system singular at step {a:g}") from exc
     return W - a * (U @ sol)
+
+
+def cayley_factors(W: np.ndarray, J: np.ndarray):
+    """U, V^T U and V^T W of `cayley_step`."""
+    U = np.hstack([J, W])
+    V = np.hstack([W, -J])
+    return U, V.T @ U, V.T @ W
 
 
 @dataclass
@@ -113,7 +136,8 @@ def optimize_W(problem: StiefelProblem, W0: np.ndarray,
     """Ascend F_W from W0; the returned objective never falls below F_W(W0)."""
     _require_feasible(W0, tol=1e-8)
     W = W0.copy()
-    F = objective_FW(problem, W)
+    Cm = problem.shifted_C()
+    F = objective_FW(problem, W, Cm)
     best_W, best_F = W.copy(), F
     g_window = [-F]
     stalled = False
@@ -156,10 +180,11 @@ def optimize_W(problem: StiefelProblem, W0: np.ndarray,
         g_ref = max(g_window)
         accepted = False
         trial = a
+        factors = cayley_factors(W, G)
         for _ in range(MAX_HALVINGS + 1):
             try:
-                W_new = cayley_step(W, G, trial)
-                F_new = objective_FW(problem, W_new)
+                W_new = cayley_step(W, G, trial, factors)
+                F_new = objective_FW(problem, W_new, Cm)
             except (CayleyStepError, ValueError):
                 trial *= 0.5
                 continue
@@ -174,10 +199,9 @@ def optimize_W(problem: StiefelProblem, W0: np.ndarray,
         prev = (W.copy(), G)
         W, F = W_new, F_new
         steps += 1
-        drift = np.max(np.abs(W.T @ W - np.eye(W.shape[1])))
-        if drift > 1e-10:
+        if _drift(W) > 1e-10:
             W = _qr_fix(W)
-            F = objective_FW(problem, W)
+            F = objective_FW(problem, W, Cm)
             refixes += 1
         g_window.append(-F)
         if len(g_window) > WINDOW:

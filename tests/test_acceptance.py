@@ -30,6 +30,8 @@ from vbdesign.vb import (
     vb_expectation,
 )
 
+pytestmark = pytest.mark.acceptance
+
 TAU_Y0_INV = 1e4
 EPS2 = 1e-10
 

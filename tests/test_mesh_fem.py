@@ -4,26 +4,45 @@ Analytic anchors:
 - hand-assembled P1 Laplacian of the split unit square
 - 1D diffusion profile u = L - x under unit end flux
 - rigid-body null space of the elasticity operator
+- brute-force dense scatter of every element matrix (fixed-pattern assembly)
+- dense LU of the free-free block (sparse solve)
 """
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
 from vbdesign.mesh_fem import (
     BoundaryConditions,
     SingularSystemError,
+    StiffnessPattern,
     assemble_diffusion,
     assemble_elasticity,
     boundary_nodes,
     build_regular_mesh,
     edge_mass_loads,
+    element_dofs,
     export_element_field,
     export_mesh,
     grid_interpolation_weights,
     signed_areas,
     solve_forward,
+    unit_diffusion_element_matrices,
+    unit_elasticity_element_matrices,
 )
-from vbdesign.problems import make_heat_problem
+from vbdesign.problems import make_heat_problem, make_topo_problem
+
+
+def diffusion_pattern(m, keep=None):
+    """Pattern over the kept dofs; all dofs (the unconstrained operator) by default."""
+    keep = np.arange(m.n_nodes) if keep is None else keep
+    return StiffnessPattern.build(m.triangles, unit_diffusion_element_matrices(m), keep)
+
+
+def elasticity_pattern(m, keep=None):
+    keep = np.arange(2 * m.n_nodes) if keep is None else keep
+    return StiffnessPattern.build(element_dofs(m, 2),
+                                  unit_elasticity_element_matrices(m, 0.3), keep)
 
 
 class TestBuildRegularMesh:
@@ -75,7 +94,7 @@ class TestAssembleDiffusion:
         # split unit square; nodes (0,0),(1,0),(1,1),(0,1); cotangent values
         # give the classic 4x4 stencil
         m = build_regular_mesh(1, 1, 1.0, 1.0)
-        K = assemble_diffusion(m, np.ones(2)).toarray()
+        K = assemble_diffusion(diffusion_pattern(m), np.ones(2)).toarray()
         perm = [0, 1, 3, 2]  # node ids in ccw order around the square
         expected = np.array([
             [1.0, -0.5, 0.0, -0.5],
@@ -88,13 +107,14 @@ class TestAssembleDiffusion:
     def test_linearity_in_conductivity(self):
         m = build_regular_mesh(3, 2, 1.0, 1.0)
         lam = np.linspace(0.5, 2.0, m.n_elements)
-        K1 = assemble_diffusion(m, lam)
-        K2 = assemble_diffusion(m, 2.0 * lam)
+        pattern = diffusion_pattern(m)
+        K1 = assemble_diffusion(pattern, lam)
+        K2 = assemble_diffusion(pattern, 2.0 * lam)
         assert np.allclose(K2.toarray(), 2.0 * K1.toarray())
 
     def test_symmetry(self):
         m = build_regular_mesh(5, 4, 2.0, 1.0)
-        K = assemble_diffusion(m, np.full(m.n_elements, 1.3)).toarray()
+        K = assemble_diffusion(diffusion_pattern(m), np.full(m.n_elements, 1.3)).toarray()
         assert np.max(np.abs(K - K.T)) < 1e-14
 
     def test_rejects_nonpositive_conductivity(self):
@@ -102,13 +122,13 @@ class TestAssembleDiffusion:
         lam = np.ones(m.n_elements)
         lam[3] = 0.0
         with pytest.raises(ValueError):
-            assemble_diffusion(m, lam)
+            assemble_diffusion(diffusion_pattern(m), lam)
 
     def test_1d_strip_linear_profile(self):
         # unit flux on the left, zero Dirichlet on the right: u = Lx - x
         m = build_regular_mesh(10, 1, 2.0, 0.1)
-        K = assemble_diffusion(m, np.ones(m.n_elements))
         bc = BoundaryConditions.build(m, 1, ("right",))
+        K = assemble_diffusion(diffusion_pattern(m, bc.free), np.ones(m.n_elements))
         load = edge_mass_loads(m, "left", {n: 1.0 for n in boundary_nodes(m, "left")})
         sol = solve_forward(K, bc, load)
         assert np.max(np.abs(sol.nodal_field - (2.0 - m.nodes[:, 0]))) < 1e-10
@@ -117,7 +137,7 @@ class TestAssembleDiffusion:
 class TestAssembleElasticity:
     def test_rigid_translation_null_space(self):
         m = build_regular_mesh(4, 3, 1.0, 1.0)
-        K = assemble_elasticity(m, np.ones(m.n_elements), 0.3)
+        K = assemble_elasticity(elasticity_pattern(m), np.ones(m.n_elements))
         tx = np.zeros(2 * m.n_nodes)
         tx[0::2] = 1.0
         ty = np.zeros(2 * m.n_nodes)
@@ -130,24 +150,25 @@ class TestAssembleElasticity:
         bc = BoundaryConditions.build(m, 2, ("left",),
                                       point_loads=[(m.n_nodes - 1, 1, -1e-3)])
         load = bc.load_vector()
-        u1 = solve_forward(assemble_elasticity(m, np.ones(m.n_elements)), bc, load).nodal_field
-        u3 = solve_forward(assemble_elasticity(m, 3.0 * np.ones(m.n_elements)), bc, load).nodal_field
+        pattern = elasticity_pattern(m, bc.free)
+        u1 = solve_forward(assemble_elasticity(pattern, np.ones(m.n_elements)), bc, load).nodal_field
+        u3 = solve_forward(assemble_elasticity(pattern, 3.0 * np.ones(m.n_elements)), bc, load).nodal_field
         assert np.allclose(u3, u1 / 3.0, rtol=1e-10, atol=1e-16)
 
     def test_rejects_invalid_poisson_ratio(self):
         m = build_regular_mesh(2, 2, 1.0, 1.0)
         with pytest.raises(ValueError):
-            assemble_elasticity(m, np.ones(m.n_elements), 0.5)
+            unit_elasticity_element_matrices(m, 0.5)
         with pytest.raises(ValueError):
-            assemble_elasticity(m, np.ones(m.n_elements), -0.1)
+            unit_elasticity_element_matrices(m, -0.1)
 
     def test_axial_traction_self_convergence(self):
         # clamped left edge, uniform axial traction on the right; the coarse
         # tip displacement must sit within 2% of a fine-mesh reference
         def tip_u1(nx, ny):
             m = build_regular_mesh(nx, ny, 2.0, 1.0)
-            K = assemble_elasticity(m, np.ones(m.n_elements), 0.3)
             bc = BoundaryConditions.build(m, 2, ("left",))
+            K = assemble_elasticity(elasticity_pattern(m, bc.free), np.ones(m.n_elements))
             load = np.zeros(2 * m.n_nodes)
             right = boundary_nodes(m, "right")
             h = 1.0 / ny
@@ -163,21 +184,86 @@ class TestAssembleElasticity:
         assert abs(coarse - fine) / abs(fine) < 0.02
 
 
+class TestStiffnessPattern:
+    @pytest.mark.parametrize("ndof_per_node", [1, 2])
+    def test_matches_dense_scatter(self, rng, ndof_per_node):
+        m = build_regular_mesh(5, 4, 1.5, 1.0)
+        clamped = ("right",) if ndof_per_node == 1 else ("left", "bottom")
+        bc = BoundaryConditions.build(m, ndof_per_node, clamped)
+        dofs = element_dofs(m, ndof_per_node)
+        ke = (unit_diffusion_element_matrices(m) if ndof_per_node == 1
+              else unit_elasticity_element_matrices(m, 0.3))
+        coef = np.exp(rng.standard_normal(m.n_elements))
+        dense = np.zeros((bc.ndof, bc.ndof))
+        for e in range(m.n_elements):
+            dense[np.ix_(dofs[e], dofs[e])] += coef[e] * ke[e]
+        Kff = StiffnessPattern.build(dofs, ke, bc.free).assemble(coef, "coef")
+        assert Kff.has_sorted_indices
+        expected = dense[np.ix_(bc.free, bc.free)]
+        assert np.max(np.abs(Kff.toarray() - expected)) <= 1e-14 * np.max(np.abs(expected))
+
+    def test_rejects_wrong_length(self):
+        m = build_regular_mesh(2, 2, 1.0, 1.0)
+        with pytest.raises(ValueError, match="one value per element"):
+            assemble_elasticity(elasticity_pattern(m), np.ones(m.n_elements + 1))
+
+
 class TestSolveForward:
     def test_zero_load_zero_field(self):
         m = build_regular_mesh(3, 3, 1.0, 1.0)
-        K = assemble_diffusion(m, np.ones(m.n_elements))
         bc = BoundaryConditions.build(m, 1, ("right",))
+        K = assemble_diffusion(diffusion_pattern(m, bc.free), np.ones(m.n_elements))
         sol = solve_forward(K, bc, np.zeros(m.n_nodes))
         assert np.all(sol.nodal_field == 0.0)
 
     def test_residual_small(self):
         m = build_regular_mesh(6, 4, 2.0, 1.0)
-        K = assemble_diffusion(m, np.linspace(0.5, 2.0, m.n_elements))
         bc = BoundaryConditions.build(m, 1, ("right",))
+        K = assemble_diffusion(diffusion_pattern(m, bc.free), np.linspace(0.5, 2.0, m.n_elements))
         load = edge_mass_loads(m, "left", {n: 1.0 for n in boundary_nodes(m, "left")})
         sol = solve_forward(K, bc, load)
         assert sol.residual_rel < 1e-10
+
+    def test_matches_dense_solve(self, rng):
+        m = build_regular_mesh(6, 4, 1.6, 1.0)
+        bc = BoundaryConditions.build(m, 2, ("left",), point_loads=[(m.n_nodes - 1, 1, -1e-3)])
+        K = assemble_elasticity(elasticity_pattern(m, bc.free),
+                                np.exp(rng.standard_normal(m.n_elements)))
+        load = bc.load_vector()
+        sol = solve_forward(K, bc, load)
+        expected = np.linalg.solve(K.toarray(), load[bc.free])
+        err = np.max(np.abs(sol.nodal_field[bc.free] - expected))
+        assert err <= 1e-10 * np.max(np.abs(expected))
+
+    def test_rejects_block_of_wrong_shape(self):
+        m = build_regular_mesh(3, 3, 1.0, 1.0)
+        bc = BoundaryConditions.build(m, 1, ("right",))
+        K = assemble_diffusion(diffusion_pattern(m), np.ones(m.n_elements))
+        with pytest.raises(ValueError, match="free-free block"):
+            solve_forward(K, bc, np.zeros(m.n_nodes))
+
+    @pytest.mark.parametrize("void_fraction", [0.9, 0.99, 1.0])
+    def test_mostly_void_design_solves_or_reports_singular(self, rng, void_fraction):
+        p = make_topo_problem(nx=26, ny=17)
+        z = np.full(p.d_z, 30.0)
+        z[rng.permutation(p.d_z)[:int(np.ceil(void_fraction * p.d_z))]] = -60.0
+        youngs = p.youngs_field(p.field_prior.mean, z)
+        assert np.mean(youngs <= 2.0 * p.E_MIN) >= 0.9
+        K = assemble_elasticity(p.pattern, youngs)
+        try:
+            sol = solve_forward(K, p.bc, p.load, observation=p.L_obs)
+        except SingularSystemError:
+            return
+        assert sol.residual_rel <= 1e-3
+        assert np.all(np.isfinite(sol.nodal_field))
+        assert np.all(np.isfinite(sol.outputs))
+
+    def test_symmetric_mode_fill_below_default(self):
+        p = make_topo_problem(nx=26, ny=17)
+        K = assemble_elasticity(p.pattern, p.youngs_field(
+            p.field_prior.mean, np.zeros(p.d_z)))
+        sol = solve_forward(K, p.bc, p.load, observation=p.L_obs)
+        assert sol.K_factorization.__self__.nnz < spla.splu(K).nnz
 
     def test_heat_problem_positive_outputs(self):
         p = make_heat_problem(nx=10, ny=5, obs_x2=np.linspace(0.25, 0.75, 5))
@@ -187,9 +273,9 @@ class TestSolveForward:
 
     def test_singular_system_reports_nullity(self):
         m = build_regular_mesh(2, 2, 1.0, 1.0)
-        K = assemble_elasticity(m, np.ones(m.n_elements), 0.3)
         # pin a single dof: two rigid modes remain
         bc = BoundaryConditions(np.arange(1, 2 * m.n_nodes), [], 2, 2 * m.n_nodes)
+        K = assemble_elasticity(elasticity_pattern(m, bc.free), np.ones(m.n_elements))
         with pytest.raises(SingularSystemError) as err:
             solve_forward(K, bc, np.zeros(2 * m.n_nodes))
         assert err.value.nullity == 2
@@ -209,7 +295,7 @@ class TestSolveForward:
         corner = int(np.argmin(np.sum((m.nodes - [1.6, 0.0]) ** 2, axis=1)))
         bc = BoundaryConditions.build(m, 2, ("left",),
                                       point_loads=[(corner, 1, -1e-3)])
-        K = assemble_elasticity(m, np.ones(m.n_elements), 0.3)
+        K = assemble_elasticity(elasticity_pattern(m, bc.free), np.ones(m.n_elements))
         sol = solve_forward(K, bc, bc.load_vector())
         assert sol.nodal_field[2 * corner + 1] < 0.0
 

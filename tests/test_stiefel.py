@@ -5,6 +5,7 @@ import pytest
 
 from vbdesign.stiefel import (
     StiefelProblem,
+    cayley_factors,
     cayley_step,
     gradient_J,
     objective_FW,
@@ -53,6 +54,11 @@ class TestObjective:
         assert v_e2 == pytest.approx(-0.5 * 2.0 * b * (c - 1 / tau_z))
         assert v_e1 == pytest.approx(-0.5 * 2.0 * a * (c - 1 / tau_z))
         assert v_e2 > v_e1
+
+    def test_supplied_shift_bitwise(self, rng):
+        prob = random_problem(rng, constrained=True)
+        W = initial_W(12, 3, rng)
+        assert objective_FW(prob, W, prob.shifted_C()) == objective_FW(prob, W)
 
     def test_sign_invariance_without_cross(self, rng):
         prob = random_problem(rng)
@@ -122,6 +128,15 @@ class TestCayleyStep:
                                    (np.eye(d_z) - 0.5 * a * A) @ W)
             small = cayley_step(W, J, a)
             assert np.max(np.abs(full - small)) <= 1e-10
+
+
+    def test_shared_factors_bitwise(self, rng):
+        # the line search forms the step-independent products once per step
+        W = initial_W(30, 4, rng)
+        J = rng.standard_normal((30, 4))
+        factors = cayley_factors(W, J)
+        for a in (1e-6, 0.3, 2.0, 1e4):
+            assert np.array_equal(cayley_step(W, J, a, factors), cayley_step(W, J, a))
 
 
 class TestOptimizeW:

@@ -12,11 +12,14 @@ import pytest
 import scipy.optimize
 
 from conftest import make_field_prior, toy_vb_instance
+from vbdesign.stiefel import StiefelProblem, optimize_W
 from vbdesign.vb import (
     ModelParams,
     PriorConfig,
+    basis_span,
     dense_expectation,
     evaluate_F,
+    initial_W,
     run_vbem,
     sample_designs,
     sensitive_directions,
@@ -330,3 +333,41 @@ class TestRunVbem:
                        w_steps=30, max_iters=20)
         st = vb_expectation(G_theta, G_z, out.params, prior, tau_Q)
         assert np.allclose(st.C_yy, out.state.C_yy, atol=1e-12)
+
+
+class TestBasisSpan:
+    def test_orthonormal_and_holds_the_ascent_span(self, rng):
+        d_z, d_y, n = 40, 3, 4
+        W0 = initial_W(d_z, d_y, rng)
+        G_z = rng.standard_normal((n, d_z))
+        f = rng.standard_normal(d_z)
+        Q = basis_span(W0, G_z, f)
+        assert Q.shape == (d_z, d_y + n + 1)
+        assert np.max(np.abs(Q.T @ Q - np.eye(d_y + n + 1))) <= 1e-13
+        M = np.hstack([W0, G_z.T, f[:, None]])
+        assert np.max(np.abs(M - Q @ (Q.T @ M))) <= 1e-12 * np.max(np.abs(M))
+
+    def test_identity_when_the_span_may_fill_the_space(self, rng):
+        Q = basis_span(initial_W(6, 2, rng), rng.standard_normal((4, 6)))
+        assert np.array_equal(Q, np.eye(6))
+
+    @pytest.mark.parametrize("constrained", [False, True])
+    def test_reduced_ascent_follows_the_full_one(self, rng, constrained):
+        # W = Q X holds along the whole Cayley ascent, to rounding
+        d_z, d_y, n = 40, 3, 4
+        G_z = rng.standard_normal((n, d_z))
+        C = rng.standard_normal((d_y, d_y))
+        f = rng.standard_normal(d_z) if constrained else None
+        prob = StiefelProblem(G_z=G_z, cross=G_z.T @ rng.standard_normal((n, d_y)),
+                              C_yy=C @ C.T + 0.1 * np.eye(d_y), tau_z=0.5, tau_Q=2.0,
+                              f=f, eps_c2=0.5 if constrained else None)
+        W0 = initial_W(d_z, d_y, rng)
+        Q = basis_span(W0, G_z, f)
+        reduced = StiefelProblem(G_z=G_z @ Q, cross=Q.T @ prob.cross, C_yy=prob.C_yy,
+                                 tau_z=prob.tau_z, tau_Q=prob.tau_Q,
+                                 f=None if f is None else Q.T @ f, eps_c2=prob.eps_c2)
+        full = optimize_W(prob, W0, max_steps=8)
+        red = optimize_W(reduced, Q.T @ W0, max_steps=8)
+        assert red.steps == full.steps == 8
+        assert np.max(np.abs(full.W - Q @ red.W)) <= 1e-10
+        assert red.F_W == pytest.approx(full.F_W, rel=1e-12)
