@@ -119,6 +119,9 @@ def parse_config(text: str) -> RunConfig:
         setattr(cfg, attr, parsed)
     if cfg.problem not in ("heat_flux", "topo"):
         raise ConfigError(f"unknown problem {cfg.problem!r}")
+    if not 0 <= cfg.topo_prior_burn_in < cfg.topo_prior_sweeps:
+        raise ConfigError(f"need 0 <= topo_prior.burn_in < topo_prior.sweeps, got "
+                          f"{cfg.topo_prior_burn_in} and {cfg.topo_prior_sweeps}")
     return cfg
 
 

@@ -22,6 +22,22 @@ bit, also for asymmetric tables, self-loops and repeated entries. The
 schedule is built once per state by `sweep_levels`, and a chain restarted
 on the same graph can reuse it; the mesh graph has 34 levels on a 26x17
 grid and 68 on 52x34.
+
+`estimate_phi_mean` sweeps only the sites that can still flip, and keeps
+the chain bit for bit. Site j flips when log u_j < -2 phi_j (drive_j -
+beta s_j), with s_j the sum over the deg_j entries of its neighbor row.
+`Generator.random()` returns multiples of 2^-53, so log u >= -53 log 2 =
+-36.737 unless u = 0; beta stays in BETA_BOUNDS, so |beta s_j| <= 2 deg_j.
+A site aligned with its drive (phi_j drive_j > 0) therefore never flips
+once 2 (|drive_j| - 2 deg_j) > 36.737 (plus a small margin), and an
+anti-aligned one always does. The drive is fixed for the whole call, and
+so is this frozen set. The chain runs full sweeps until every frozen site
+is aligned (one sweep when they start anti-aligned), then sweeps the other
+sites, the candidates, on the levels of the graph they induce. It still
+draws the full stream of uniforms, takes the logs of the candidates' draws
+only, and falls back to a full sweep for a round with a zero draw. The
+neighbor sums of the beta move are integer-valued, so refreshing only the
+rows that list a candidate gives the same sums.
 """
 
 from __future__ import annotations
@@ -41,6 +57,10 @@ MODE_LOCATION = math.log(999.0)  # sigmoid(+-m) = 1 - 1e-3 / 1e-3
 MODE_VARIANCE = 1.0
 BETA_BOUNDS = (-2.0, 2.0)
 BETA_STEP = 0.1
+# |beta| bound and the least -log u of a nonzero Generator.random() draw
+# (53 log 2), with a margin far above the rounding of the flip test
+_BETA_MAX = max(-BETA_BOUNDS[0], BETA_BOUNDS[1])
+_FROZEN_EDGE = 53.0 * math.log(2.0) + 1e-6
 
 
 @dataclass
@@ -77,14 +97,12 @@ def build_neighbor_graph(mesh: Mesh) -> np.ndarray:
 def new_state(neighbors: np.ndarray, mu_z=None, m: float = MODE_LOCATION,
               s2: float = MODE_VARIANCE, beta: float = 0.0) -> TopoPriorState:
     """Spins start on the data side of each mode (positive side on ties)."""
+    if not BETA_BOUNDS[0] <= beta <= BETA_BOUNDS[1]:
+        raise ValueError(f"beta {beta} outside {BETA_BOUNDS}")
     d = neighbors.shape[0]
     phi = np.ones(d, dtype=np.int8) if mu_z is None else data_side_spins(mu_z)
     padded = np.where(neighbors >= 0, neighbors, d)
-    level = sweep_levels(neighbors)
-    order = np.argsort(level, kind="stable")
-    by_level = padded[order]
-    ends = np.cumsum(np.bincount(level)).tolist()
-    levels = [(order[lo:hi], by_level[lo:hi]) for lo, hi in zip([0] + ends, ends)]
+    levels = level_schedule(neighbors, padded, np.arange(d))
     return TopoPriorState(phi, float(beta), float(m), float(s2), neighbors,
                           np.zeros(d), padded, levels)
 
@@ -117,6 +135,18 @@ def sweep_levels(neighbors: np.ndarray) -> np.ndarray:
         np.maximum.at(level, hi[late], cand[late])
 
 
+def level_schedule(table: np.ndarray, padded: np.ndarray, sites: np.ndarray) -> list:
+    """Sweep schedule of the ascending `sites`: (sites, padded rows) per level.
+
+    Row i of `table` is the neighbor row of sites[i], its entries renumbered
+    to positions in `sites` (-1 for entries outside them).
+    """
+    level = sweep_levels(table)
+    order = sites[np.argsort(level, kind="stable")]
+    ends = np.cumsum(np.bincount(level)).tolist()
+    return [(order[lo:hi], padded[order[lo:hi]]) for lo, hi in zip([0] + ends, ends)]
+
+
 def sweep_spins(spins: np.ndarray, levels: list, drive: np.ndarray, beta: float,
                 log_u: np.ndarray) -> None:
     """One raster-order scan of the sites, one level at a time, in place.
@@ -136,6 +166,15 @@ def _pseudo_loglik(phi, drive, beta, nbr_sums):
     return float(np.sum(phi * a - np.logaddexp(a, -a)))
 
 
+def _beta_move(state: TopoPriorState, phi, drive, sums, rng) -> None:
+    prop = state.beta + BETA_STEP * rng.standard_normal()
+    log_a = np.log(rng.random())
+    if BETA_BOUNDS[0] <= prop <= BETA_BOUNDS[1]:
+        if log_a < (_pseudo_loglik(phi, drive, prop, sums)
+                    - _pseudo_loglik(phi, drive, state.beta, sums)):
+            state.beta = float(prop)
+
+
 def gibbs_sweep(state: TopoPriorState, mu_z: np.ndarray, rng: np.random.Generator,
                 update_beta: bool = True) -> TopoPriorState:
     """One fixed-order scan of all sites, then a random-walk move on beta.
@@ -153,28 +192,60 @@ def gibbs_sweep(state: TopoPriorState, mu_z: np.ndarray, rng: np.random.Generato
     sweep_spins(spins, state.levels, drive, state.beta, log_u)
     state.phi[:] = spins[:d]
     if update_beta:
-        prop = state.beta + BETA_STEP * rng.standard_normal()
-        log_a = np.log(rng.random())
-        if BETA_BOUNDS[0] <= prop <= BETA_BOUNDS[1]:
-            sums = spins[state.padded].sum(axis=1)
-            phi = spins[:d]
-            if log_a < (_pseudo_loglik(phi, drive, prop, sums)
-                        - _pseudo_loglik(phi, drive, state.beta, sums)):
-                state.beta = float(prop)
+        _beta_move(state, spins[:d], drive, spins[state.padded].sum(axis=1), rng)
     return state
 
 
 def estimate_phi_mean(state: TopoPriorState, mu_z: np.ndarray, sweeps: int,
                       burn_in: int, rng: np.random.Generator,
                       update_beta: bool = True) -> np.ndarray:
-    """Post-burn-in empirical spin mean, also stored on the state."""
-    if sweeps <= burn_in:
-        raise ValueError("sweeps must exceed burn_in")
-    acc = np.zeros(state.phi.shape[0])
+    """Post-burn-in empirical spin mean, also stored on the state.
+
+    The same chain as `sweeps` calls of `gibbs_sweep`, bit for bit, sweeping
+    only the sites that can flip (module docstring).
+    """
+    if not 0 <= burn_in < sweeps:
+        raise ValueError("need 0 <= burn_in < sweeps")
+    d = state.phi.shape[0]
+    drive = (state.m / state.s2) * np.asarray(mu_z, dtype=float)
+    deg = np.count_nonzero(state.neighbors >= 0, axis=1)
+    frozen = 2.0 * (np.abs(drive) - _BETA_MAX * deg) > _FROZEN_EDGE
+    fixed = np.flatnonzero(frozen)
+    if fixed.size:
+        cand = np.flatnonzero(~frozen)
+        local = np.full(d + 1, -1)
+        local[cand] = np.arange(cand.size)
+        levels = level_schedule(local[state.padded[cand]], state.padded, cand)
+        # rows whose neighbor sum can change while the frozen sites hold still
+        touch = np.flatnonzero((~np.append(frozen, True))[state.padded].any(axis=1))
+    else:
+        cand = touch = slice(None)
+        levels = state.levels
+    touch_rows = state.padded[touch]
+
+    spins = np.zeros(d + 1)
+    spins[:d] = state.phi
+    sums = spins[state.padded].sum(axis=1)
+    log_u = np.empty(d)
+    settled = bool(np.all(spins[fixed] * drive[fixed] > 0.0))
+    acc = np.zeros(d)
     for t in range(sweeps):
-        gibbs_sweep(state, mu_z, rng, update_beta=update_beta)
+        u = rng.random(d)
+        if settled and u.all():
+            log_u[cand] = np.log(u[cand])
+            sweep_spins(spins, levels, drive, state.beta, log_u)
+            sums[touch] = spins[touch_rows].sum(axis=1)
+        else:
+            with np.errstate(divide="ignore"):
+                np.log(u, out=log_u)
+            sweep_spins(spins, state.levels, drive, state.beta, log_u)
+            settled = bool(np.all(spins[fixed] * drive[fixed] > 0.0))
+            sums = spins[state.padded].sum(axis=1)
+        if update_beta:
+            _beta_move(state, spins[:d], drive, sums, rng)
         if t >= burn_in:
-            acc += state.phi
+            acc += spins[:d]
+    state.phi[:] = spins[:d]
     state.phi_mean = acc / (sweeps - burn_in)
     return state.phi_mean.copy()
 

@@ -69,6 +69,11 @@ class TestParseConfig:
         with pytest.raises(ConfigError):
             parse_config("problem = frobnicate")
 
+    @pytest.mark.parametrize("sweeps,burn_in", [(100, 100), (50, 100), (500, -1)])
+    def test_spin_burn_in_must_precede_sweeps(self, sweeps, burn_in):
+        with pytest.raises(ConfigError):
+            parse_config(f"topo_prior.sweeps = {sweeps}\ntopo_prior.burn_in = {burn_in}")
+
     def test_levels_parsing(self):
         cfg = parse_config("sample.levels = 0.9,0.5")
         assert cfg.sample_levels == (0.9, 0.5)
@@ -154,6 +159,12 @@ class TestMainExitCodes:
         bad = tmp_path / "bad.cfg"
         bad.write_text("nonsense = 1")
         assert cli.main(["--config", str(bad), "--out", str(tmp_path / "o")]) == 2
+
+    def test_spin_burn_in_exit_2(self, tmp_path):
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(SMALL_TOPO.replace("topo_prior.burn_in = 40", "topo_prior.burn_in = 150"))
+        assert cli.main(["--config", str(bad), "--out", str(tmp_path / "o")]) == 2
+        assert not (tmp_path / "o").exists()
 
     def test_missing_config_file_exit_2(self, tmp_path):
         assert cli.main(["--config", str(tmp_path / "nope.cfg")]) == 2

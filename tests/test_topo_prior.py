@@ -38,14 +38,23 @@ def raster_sweep(phi, neighbors, drive, beta, log_u):
     phi[:] = spins
 
 
-def raster_phi_mean(neighbors, mu_z, sweeps, burn_in, rng, m=MODE_LOCATION, s2=1.0):
-    """Reference estimate_phi_mean on the raster kernel, drawing the same stream."""
-    phi = np.where(mu_z >= 0.0, 1, -1).astype(np.int8)
-    beta = 0.0
+def raster_phi_mean(neighbors, mu_z, sweeps, burn_in, rng, m=MODE_LOCATION, s2=1.0,
+                    phi=None, beta=0.0, flips=None):
+    """Reference estimate_phi_mean on the raster kernel, drawing the same stream.
+
+    Spins start from `phi` (default: the data side of mu_z); `flips`, when
+    given, counts each site's flips.
+    """
+    phi = np.where(mu_z >= 0.0, 1, -1).astype(np.int8) if phi is None else phi.copy()
     drive = (m / s2) * mu_z
     acc = np.zeros(len(phi))
     for t in range(sweeps):
-        raster_sweep(phi, neighbors, drive, beta, np.log(rng.random(len(phi))))
+        before = phi.copy()
+        with np.errstate(divide="ignore"):
+            log_u = np.log(rng.random(len(phi)))
+        raster_sweep(phi, neighbors, drive, beta, log_u)
+        if flips is not None:
+            flips += before != phi
         prop = beta + BETA_STEP * rng.standard_normal()
         log_a = np.log(rng.random())
         if BETA_BOUNDS[0] <= prop <= BETA_BOUNDS[1]:
@@ -60,6 +69,58 @@ def raster_phi_mean(neighbors, mu_z, sweeps, burn_in, rng, m=MODE_LOCATION, s2=1
         if t >= burn_in:
             acc += phi
     return acc / (sweeps - burn_in), phi, beta
+
+
+# 2 (|drive| - 2 * 3) = 53 log 2: above this edge an aligned site with three
+# neighbor entries can never flip
+FLIP_EDGE = 6.0 + 26.5 * np.log(2.0)
+EDGE_OFFSETS = (-3.0, -1.0, -0.3, -0.1, -0.02, 0.02, 0.1)
+
+
+def planted_drive(nb, rng):
+    """Strong positive drives, 15% weak sites, and sites near the flip edge.
+
+    Each edge site, of either sign, has only strong positive neighbors, and
+    the edge sites take the offsets EDGE_OFFSETS from the edge in turn.
+    Returns the drive and the edge sites.
+    """
+    d = len(nb)
+    drive = rng.uniform(30.0, 60.0, d)
+    weak = rng.random(d) < 0.15
+    drive[weak] = rng.uniform(-1.0, 1.0, weak.sum())
+    busy = weak.copy()
+    edge = []
+    for j in rng.permutation(d):
+        row = [k for k in nb[j] if k >= 0]
+        if not busy[j] and not busy[row].any():
+            busy[j] = busy[row] = True
+            edge.append(j)
+    edge = np.array(edge)
+    i = np.arange(len(edge))
+    drive[edge] = np.where(i % 2 == 0, 1.0, -1.0) * (
+        FLIP_EDGE + np.array(EDGE_OFFSETS)[i % len(EDGE_OFFSETS)])
+    return drive, edge
+
+
+class PlantedUniforms:
+    """Generator stand-in: its d-long uniform draws are 2^-53 at `tiny`
+    and 0 at `zeros` ((draw index, site) pairs), the rest from `rng`."""
+
+    def __init__(self, rng, d, tiny, zeros):
+        self.rng, self.d, self.tiny, self.zeros, self.t = rng, d, tiny, zeros, 0
+
+    def random(self, size=None):
+        u = self.rng.random(size)
+        if size == self.d:
+            u[self.tiny] = 2.0 ** -53
+            for t, j in self.zeros:
+                if t == self.t:
+                    u[j] = 0.0
+            self.t += 1
+        return u
+
+    def standard_normal(self):
+        return self.rng.standard_normal()
 
 
 class TestNeighborGraph:
@@ -169,6 +230,40 @@ class TestGibbsSweep:
         assert np.array_equal(st.phi, phi_r)
         assert st.beta == beta_r
 
+    @pytest.mark.parametrize("table,beta", [("mesh", -1.9), ("mesh", 1.9), ("awkward", 1.9)])
+    def test_active_sweep_matches_raster_replay(self, table, beta):
+        # strong drives freeze most sites; edge sites draw u = 2^-53 every
+        # sweep, so those just inside the edge flip while beta is near a bound;
+        # strong sites start anti-aligned, and frozen sites draw u = 0
+        rng = np.random.default_rng(8)
+        nb = (build_neighbor_graph(build_regular_mesh(26, 17, 1.6, 1.0)) if table == "mesh"
+              else awkward_table(rng))
+        d = len(nb)
+        drive, edge = planted_drive(nb, rng)
+        mu = drive / MODE_LOCATION
+        strong = np.flatnonzero(np.abs(drive) > 30.0)
+        phi = np.where(mu >= 0.0, 1, -1).astype(np.int8)
+        anti = rng.choice(strong, 10, replace=False)
+        phi[anti] = -phi[anti]
+        zeros = [(150, strong[0]), (151, strong[1]), (300, anti[0])]
+
+        st = new_state(nb, mu, beta=beta)
+        st.phi[:] = phi
+        pm = estimate_phi_mean(st, mu, 500, 100,
+                               PlantedUniforms(np.random.default_rng(9), d, edge, zeros))
+        flips = np.zeros(d, dtype=int)
+        pm_r, phi_r, beta_r = raster_phi_mean(
+            nb, mu, 500, 100, PlantedUniforms(np.random.default_rng(9), d, edge, zeros),
+            phi=phi, beta=beta, flips=flips)
+        assert np.array_equal(pm, pm_r)
+        assert np.array_equal(st.phi, phi_r)
+        assert st.beta == beta_r
+        # the replay reaches the edge from inside, never from outside
+        gap = np.abs(drive[edge]) - FLIP_EDGE
+        assert flips[edge[np.isclose(gap, -0.02)]].sum() > 0
+        assert flips[edge[gap > 0.0]].sum() == 0
+        assert flips[strong].sum() >= 10 + 2 * len(zeros)
+
     def test_spins_stay_binary(self, rng):
         mesh = build_regular_mesh(6, 4, 1.0, 1.0)
         st = new_state(build_neighbor_graph(mesh))
@@ -262,6 +357,20 @@ class TestEstimatePhiMean:
         with pytest.raises(ValueError):
             estimate_phi_mean(st, np.zeros(mesh.n_elements), 10, 10,
                               np.random.default_rng(0))
+
+    def test_rejects_negative_burn_in(self):
+        mesh = build_regular_mesh(2, 2, 1.0, 1.0)
+        st = new_state(build_neighbor_graph(mesh))
+        with pytest.raises(ValueError):
+            estimate_phi_mean(st, np.zeros(mesh.n_elements), 10, -5,
+                              np.random.default_rng(0))
+
+    @pytest.mark.parametrize("beta", [7.0, -2.01, np.nan])
+    def test_new_state_rejects_beta_outside_bounds(self, beta):
+        nb = build_neighbor_graph(build_regular_mesh(2, 2, 1.0, 1.0))
+        with pytest.raises(ValueError):
+            new_state(nb, beta=beta)
+        new_state(nb, beta=BETA_BOUNDS[0])
 
     def test_phi_mean_in_range(self, rng):
         mesh = build_regular_mesh(5, 3, 1.0, 1.0)
