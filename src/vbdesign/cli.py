@@ -279,6 +279,8 @@ def run(cfg: RunConfig, stage: str = "all", outdir=None) -> RunArtifacts:
         "validate_forward_calls": validate_calls,
         "total_forward_calls": total,
         "map_converged": mres.converged,
+        **({} if art.vbem is None else {"vbem_iterations": art.vbem.iterations,
+                                       "vbem_converged": art.vbem.converged}),
         **{f"time_{k}": f"{v:.3f}" for k, v in timings.items()},
     }
     art.manifest = manifest

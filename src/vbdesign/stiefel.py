@@ -2,11 +2,11 @@
 
 The basis objective F_W is ascended along the orthogonality-preserving
 Cayley curve W(a) = (I + a/2 A)^{-1} (I - a/2 A) W with A built from the
-objective gradient; steps come from alternating Barzilai-Borwein formulas
-safeguarded by a non-monotone (window 5) line search. The d_z x d_z curve
-inverse is evaluated through an equivalent 2 d_y x 2 d_y system; the line
-search forms the products that do not depend on the step once per step, not
-once per trial.
+tangent-projected objective gradient; steps come from alternating
+Barzilai-Borwein formulas safeguarded by a non-monotone (window 5) line
+search. The d_z x d_z curve inverse is evaluated through an equivalent
+2 d_y x 2 d_y system; the line search forms the products that do not depend
+on the step once per step, not once per trial.
 """
 
 from __future__ import annotations
@@ -147,16 +147,14 @@ def optimize_W(problem: StiefelProblem, W0: np.ndarray,
     steps = 0
 
     for it in range(max_steps):
-        J = gradient_J(problem, W)
-        grad_norm = float(np.linalg.norm(tangent_project(W, J)))
-        if grad_norm <= GRAD_TOL * (1.0 + abs(F)):
+        # descend the negated objective along the Cayley curve of its tangent
+        # gradient: the full gradient's curve without its normal part's rounding
+        G = -tangent_project(W, gradient_J(problem, W))
+        if float(np.linalg.norm(G)) <= GRAD_TOL * (1.0 + abs(F)):
             break
-        G = -J  # descend the negated objective
-        M = G.T @ W
-        A_norm2 = 2.0 * (float(np.sum(G * G)) - float(np.sum(M * M.T)))  # |A|_F^2
-        A_norm2 = max(A_norm2, 0.0)
-        if A_norm2 <= 1e-300:
-            break
+        X = W.T @ G
+        G_perp = G - W @ X
+        A_norm2 = float(np.sum((X - X.T) ** 2)) + 2.0 * float(np.sum(G_perp * G_perp))
 
         if prev is None:
             a = 0.1 / (np.sqrt(A_norm2) + 1e-30)

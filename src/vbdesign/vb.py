@@ -13,6 +13,11 @@ precision. `dense_expectation` inverts the dense joint precision instead; it
 is the reference the tests compare the low-rank route against, and nothing
 in the pipeline calls it. States built by hand with a dense C_thth still
 work everywhere a state is read.
+
+`run_vbem` alternates the q update with a Cayley ascent of the basis
+(`stiefel`) from a closed-form start: for fixed q the basis bound is
+dominated by tr(W^T H W) / (2 tau_z) with H = tau_Q G_z^T G_z + f f^T / eps_c2,
+whose range has dimension at most n + 1.
 """
 
 from __future__ import annotations
@@ -160,17 +165,23 @@ def _y_prior_precision(prior: PriorConfig, W, f, eps_c2):
     return Py
 
 
+def _complement_sums(G_z, A, W, f=None):
+    """|G_z (I - W W^T)|^2 and |(I - W W^T) f|^2 for A = G_z W; projecting
+    dodges the cancellation in |G_z|^2 - |A|^2, which 1/tau_z magnifies."""
+    gram_perp = float(np.sum((G_z - A @ W.T) ** 2))
+    if f is None:
+        return gram_perp, 0.0
+    f_perp = f - W @ (W.T @ f)
+    return gram_perp, float(f_perp @ f_perp)
+
+
 def _tau_z_update(prior: PriorConfig, G_z, A, W, tau_Q, f, eps_c2):
     d_z, d_y = W.shape
     k = d_z - d_y
     if k == 0:
         return prior.tau_z0
-    # explicit projections dodge the cancellation in |G|^2 - |GW|^2
-    G_perp = G_z - A @ W.T
-    total = tau_Q * float(np.sum(G_perp**2))
-    if f is not None:
-        f_perp = f - W @ (W.T @ f)
-        total += float(f_perp @ f_perp) / eps_c2
+    gram_perp, perp_f = _complement_sums(G_z, A, W, f)
+    total = tau_Q * gram_perp + (0.0 if f is None else perp_f / eps_c2)
     return prior.tau_z0 + total / k
 
 
@@ -278,7 +289,7 @@ def evaluate_F(state: VariationalState, params: ModelParams, prior: PriorConfig,
 
     tr_yy = float(np.sum((A.T @ A) * state.C_yy))
     tr_cross = 2.0 * float(np.sum((G_theta.T @ A) * state.C_thy))
-    gram_perp = max(float(np.sum(G_z**2) - np.sum(A**2)), 0.0) if k > 0 else 0.0
+    gram_perp, perp_f = _complement_sums(G_z, A, W, f) if k > 0 else (0.0, 0.0)
 
     dev = params.mu_theta - prior.mu_theta0
     quad_theta = prior.field_prior.quad(dev)
@@ -301,7 +312,6 @@ def evaluate_F(state: VariationalState, params: ModelParams, prior: PriorConfig,
     }
     if f is not None:
         fW = W.T @ f
-        perp_f = max(float(f @ f) - float(fW @ fW), 0.0) if k > 0 else 0.0
         terms["constraint"] = -0.5 / eps_c2 * (
             c_mu**2 + float(fW @ state.C_yy @ fW) + perp_f / state.tau_z)
 
@@ -364,39 +374,28 @@ def initial_W(d_z: int, d_y: int, rng: np.random.Generator) -> np.ndarray:
     return Q * np.sign(np.diag(R))
 
 
-def basis_span(W0, G_z, f=None):
-    """Orthonormal Q whose span holds every basis the Cayley ascent reaches.
-
-    The gradient of F_W lies in span(G_z^T, f) (the cross term is G_z^T
-    times a matrix), and a Cayley step moves W within span(W, gradient), so
-    from W0 the ascent never leaves span(W0, G_z^T, f). The identity when
-    that span may be all of R^{d_z}.
-    """
-    cols = [W0, G_z.T] + ([] if f is None else [np.asarray(f, dtype=float)[:, None]])
-    M = np.hstack(cols)
-    if M.shape[1] >= M.shape[0]:
-        return np.eye(M.shape[0])
-    return np.linalg.qr(M)[0]
-
-
 def run_vbem(G_theta, G_z, params: ModelParams, prior: PriorConfig, tau_Q: float,
              residual, f=None, eps_c2=None, w_steps: int = 100,
              max_iters: int = 200, ftol: float = 1e-8,
              log_p_mu_z: float = 0.0) -> VbemResult:
     """Alternate the closed-form q update with Cayley ascent on the basis.
 
-    Point estimates stay fixed here; no forward solves occur. The basis is
-    ascended in the coordinates X of W = Q X with Q from `basis_span`: the
-    same iterates in exact arithmetic, at a cost that does not grow with
-    d_z. Stops when the relative bound change stays below ftol for 3
-    consecutive iterations.
+    Point estimates stay fixed here; no forward solves occur. The start is
+    the top k = min(d_y, n + 1) left singular vectors of
+    B = [sqrt(tau_Q) G_z^T, f / sqrt(eps_c2)] (B B^T = H, module docstring),
+    then the passed W projected off them and orthonormalized, which picks
+    only the d_y - k flat columns. The ascent polishes that basis when
+    d_y < n + 1 and certifies it otherwise. Stops when the relative bound
+    change stays below ftol for 3 consecutive iterations.
     """
     fkw = dict(f=f, eps_c2=eps_c2, log_p_mu_z=log_p_mu_z)
-    Q = basis_span(params.W, G_z, f)
-    X = Q.T @ params.W
-    params = replace(params, W=Q @ X)
-    G_zQ = G_z @ Q
-    f_Q = None if f is None else Q.T @ f
+    B = np.sqrt(tau_Q) * G_z.T
+    if f is not None:
+        B = np.column_stack([B, f / np.sqrt(eps_c2)])
+    U = np.linalg.svd(B, full_matrices=False)[0]
+    k = min(params.d_y, U.shape[1])
+    W = np.linalg.qr(np.hstack([U[:, :k], params.W]))[0][:, :params.d_y]
+    params = replace(params, W=W)
     history = []
     streak = 0
     F_prev = None
@@ -407,10 +406,9 @@ def run_vbem(G_theta, G_z, params: ModelParams, prior: PriorConfig, tau_Q: float
         F_q = evaluate_F(state, params, prior, tau_Q, residual, G_theta, G_z, **fkw)
 
         problem = stiefel.StiefelProblem(
-            G_z=G_zQ, cross=G_zQ.T @ (G_theta @ state.C_thy), C_yy=state.C_yy,
-            tau_z=state.tau_z, tau_Q=tau_Q, f=f_Q, eps_c2=eps_c2)
-        X = stiefel.optimize_W(problem, X, max_steps=w_steps).W
-        params = replace(params, W=Q @ X)
+            G_z=G_z, cross=G_z.T @ (G_theta @ state.C_thy), C_yy=state.C_yy,
+            tau_z=state.tau_z, tau_Q=tau_Q, f=f, eps_c2=eps_c2)
+        params = replace(params, W=stiefel.optimize_W(problem, params.W, w_steps).W)
         F_w = evaluate_F(state, params, prior, tau_Q, residual, G_theta, G_z, **fkw)
         history.append((F_q, F_w))
 

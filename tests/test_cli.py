@@ -134,6 +134,14 @@ class TestRunPipeline:
         assert (tmp_path / "map_trace.csv").exists()
         assert not (tmp_path / "spectrum.csv").exists()
         assert art.manifest["validate_forward_calls"] == 0
+        assert "vbem_converged" not in art.manifest
+
+    def test_heat_loop_reports_convergence(self, tmp_path):
+        art = run(parse_config("problem = heat_flux\n"), stage="vbem", outdir=tmp_path)
+        man = dict(line.split(" = ") for line in
+                   (tmp_path / "manifest.txt").read_text().splitlines())
+        assert man["vbem_converged"] == "True"
+        assert int(man["vbem_iterations"]) == art.vbem.iterations
 
     def test_degenerate_full_reduced_dimension(self, tmp_path):
         # d_y = d_z: no complement left, tau_z stays at its prior value

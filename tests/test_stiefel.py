@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from vbdesign.stiefel import (
+    GRAD_TOL,
     StiefelProblem,
     cayley_factors,
     cayley_step,
@@ -185,3 +186,27 @@ class TestOptimizeW:
             vals.append(objective_FW(prob, W))
             refs.append(max(vals[-5:]))
         assert np.all(np.diff(refs) >= -1e-10 * (1 + np.abs(np.array(refs[:-1]))))
+
+    def test_dominant_constraint_term_does_not_hide_the_tangent_gradient(self):
+        # f lies in span(W0) and f f^T / eps_c2 dominates F_W, so the gradient
+        # is almost all normal to the manifold and 2(|G|^2 - tr((W^T G)^2))
+        # cancels to zero although W0 is not stationary: the ascent must see
+        # the tangent part. The instance is pinned: a near-optimal second column
+        rng = np.random.default_rng(4)
+        d_z = 8
+        Q = np.linalg.qr(rng.standard_normal((d_z, d_z)))[0]
+        f = Q[:, 0]
+        G_z = 10.0 * rng.standard_normal((3, d_z))
+        G_z -= np.outer(G_z @ f, f)
+        top = np.linalg.svd(G_z)[2][0]
+        other = Q[:, 1] - f * (f @ Q[:, 1]) - top * (top @ Q[:, 1])
+        w2 = np.cos(0.1) * top + np.sin(0.1) * other / np.linalg.norm(other)
+        W0 = np.linalg.qr(np.column_stack([f, w2]))[0]
+        prob = StiefelProblem(G_z=G_z, cross=np.zeros((d_z, 2)), C_yy=np.eye(2),
+                              tau_z=1e-2, tau_Q=1.0, f=f, eps_c2=1e-10)
+        F0 = objective_FW(prob, W0)
+        assert np.linalg.norm(tangent_project(W0, gradient_J(prob, W0))) \
+            > GRAD_TOL * (1.0 + abs(F0))
+        out = optimize_W(prob, W0, max_steps=100)
+        assert out.steps >= 1 and out.F_W > F0
+        assert out.grad_norm <= GRAD_TOL * (1.0 + abs(out.F_W))

@@ -12,11 +12,9 @@ import pytest
 import scipy.optimize
 
 from conftest import make_field_prior, toy_vb_instance
-from vbdesign.stiefel import StiefelProblem, optimize_W
 from vbdesign.vb import (
     ModelParams,
     PriorConfig,
-    basis_span,
     dense_expectation,
     evaluate_F,
     initial_W,
@@ -196,6 +194,30 @@ class TestEvaluateF:
         se = np.std(vals) / np.sqrt(M)
         assert abs(np.mean(vals) - F) < 3 * se
 
+    def test_exact_at_prior_complement_precision(self, rng):
+        # span(W) holds G_z^T and f, so the complement sums vanish and tau_z
+        # sits at tau_z0 = 1e-14. In coordinates where W = [I; 0] the
+        # projections are exactly zero; F is invariant under a rotation of
+        # the design space, so the rotated instance must give the same F
+        d_z, d_y, n, eps_c2 = 40, 6, 4, 1e-2
+        G_theta, _, params, prior, tau_Q, residual = toy_vb_instance(
+            rng, d_theta=5, d_z=d_z, d_y=d_y, n=n, tau_y0=1e-4, eps2=1e-10)
+        G_z = np.zeros((n, d_z))
+        G_z[:, :d_y] = rng.standard_normal((n, d_y))
+        f = np.zeros(d_z)
+        f[:d_y] = rng.standard_normal(d_y)
+        W = np.eye(d_z)[:, :d_y]
+
+        def bound(R):
+            p = replace(params, W=R @ W)
+            kw = dict(f=R @ f, eps_c2=eps_c2)
+            st = vb_expectation(G_theta, G_z @ R.T, p, prior, tau_Q, **kw)
+            return evaluate_F(st, p, prior, tau_Q, residual, G_theta, G_z @ R.T, **kw)
+
+        exact = bound(np.eye(d_z))
+        for _ in range(3):
+            assert bound(initial_W(d_z, d_z, rng)) == pytest.approx(exact, abs=1e-6)
+
     def test_nonfinite_term_reported(self, rng):
         G_theta, G_z, params, prior, tau_Q, residual = toy_vb_instance(rng)
         st = vb_expectation(G_theta, G_z, params, prior, tau_Q)
@@ -335,39 +357,30 @@ class TestRunVbem:
         assert np.allclose(st.C_yy, out.state.C_yy, atol=1e-12)
 
 
-class TestBasisSpan:
-    def test_orthonormal_and_holds_the_ascent_span(self, rng):
-        d_z, d_y, n = 40, 3, 4
-        W0 = initial_W(d_z, d_y, rng)
-        G_z = rng.standard_normal((n, d_z))
-        f = rng.standard_normal(d_z)
-        Q = basis_span(W0, G_z, f)
-        assert Q.shape == (d_z, d_y + n + 1)
-        assert np.max(np.abs(Q.T @ Q - np.eye(d_y + n + 1))) <= 1e-13
-        M = np.hstack([W0, G_z.T, f[:, None]])
-        assert np.max(np.abs(M - Q @ (Q.T @ M))) <= 1e-12 * np.max(np.abs(M))
+class TestClosedFormStart:
+    def test_basis_holds_the_informative_span(self, rng):
+        # d_y >= n + 1: every direction of H = tau_Q G_z^T G_z + f f^T / eps_c2
+        # is in the basis, whatever the start
+        G_theta, G_z, params, prior, tau_Q, residual = toy_vb_instance(
+            rng, d_theta=6, d_z=40, d_y=7, n=4)
+        f = rng.standard_normal(40)
+        out = run_vbem(G_theta, G_z, params, prior, tau_Q, residual, f=f, eps_c2=1e-4)
+        W = out.params.W
+        M = np.hstack([G_z.T, f[:, None]])
+        assert np.max(np.abs(M - W @ (W.T @ M))) <= 1e-12 * np.max(np.abs(M))
 
-    def test_identity_when_the_span_may_fill_the_space(self, rng):
-        Q = basis_span(initial_W(6, 2, rng), rng.standard_normal((4, 6)))
-        assert np.array_equal(Q, np.eye(6))
-
-    @pytest.mark.parametrize("constrained", [False, True])
-    def test_reduced_ascent_follows_the_full_one(self, rng, constrained):
-        # W = Q X holds along the whole Cayley ascent, to rounding
-        d_z, d_y, n = 40, 3, 4
-        G_z = rng.standard_normal((n, d_z))
-        C = rng.standard_normal((d_y, d_y))
-        f = rng.standard_normal(d_z) if constrained else None
-        prob = StiefelProblem(G_z=G_z, cross=G_z.T @ rng.standard_normal((n, d_y)),
-                              C_yy=C @ C.T + 0.1 * np.eye(d_y), tau_z=0.5, tau_Q=2.0,
-                              f=f, eps_c2=0.5 if constrained else None)
-        W0 = initial_W(d_z, d_y, rng)
-        Q = basis_span(W0, G_z, f)
-        reduced = StiefelProblem(G_z=G_z @ Q, cross=Q.T @ prob.cross, C_yy=prob.C_yy,
-                                 tau_z=prob.tau_z, tau_Q=prob.tau_Q,
-                                 f=None if f is None else Q.T @ f, eps_c2=prob.eps_c2)
-        full = optimize_W(prob, W0, max_steps=8)
-        red = optimize_W(reduced, Q.T @ W0, max_steps=8)
-        assert red.steps == full.steps == 8
-        assert np.max(np.abs(full.W - Q @ red.W)) <= 1e-10
-        assert red.F_W == pytest.approx(full.F_W, rel=1e-12)
+    @pytest.mark.parametrize("d_y", [3, 8])
+    def test_result_does_not_depend_on_the_start(self, rng, d_y):
+        # below and above n + 1 = 5: the start only picks the flat columns
+        G_theta, G_z, params, prior, tau_Q, residual = toy_vb_instance(
+            rng, d_theta=6, d_z=30, d_y=d_y, n=4)
+        f = rng.standard_normal(30)
+        finals, spectra = [], []
+        for _ in range(4):
+            start = replace(params, W=initial_W(30, d_y, rng))
+            out = run_vbem(G_theta, G_z, start, prior, tau_Q, residual, f=f, eps_c2=1e-4)
+            assert out.converged
+            finals.append(out.F_history[-1][1])
+            spectra.append(sensitive_directions(out.state, out.params).sigma2)
+        assert np.allclose(finals, finals[0], rtol=1e-9, atol=0.0)
+        assert np.allclose(spectra, spectra[0], rtol=1e-9, atol=0.0)
