@@ -291,9 +291,13 @@ def run(cfg: RunConfig, stage: str = "all", outdir=None) -> RunArtifacts:
 
 
 def _save_state(path, vres):
+    """q and the point estimates; the theta block stays in low-rank form,
+    C_thth = C_theta0 - B_th S^-1 B_th^T with S = S_chol S_chol^T."""
     st = vres.state
+    lr = st.lowrank
     np.savez(path, C_yy=st.C_yy, C_thy=st.C_thy, tau_z=st.tau_z,
-             C_thth=st.C_thth, W=vres.params.W, mu_z=vres.params.mu_z,
+             B_th=lr.B_th, S_chol=np.tril(lr.S_cho[0]),
+             W=vres.params.W, mu_z=vres.params.mu_z,
              mu_theta=vres.params.mu_theta,
              dims=np.array([st.d_theta, vres.params.d_z, st.d_y]))
 

@@ -120,9 +120,10 @@ def cayley_factors(W: np.ndarray, J: np.ndarray):
 class StiefelResult:
     W: np.ndarray
     F_W: float
-    steps: int
-    grad_norm: float
-    stalled: bool
+    steps: int           # accepted steps, each of which moved W
+    grad_norm: float     # tangent-gradient norm at W
+    stalled: bool        # grad_norm above the GRAD_TOL bar: no step was
+                         # accepted, or max_steps ran out, before stationarity
     reorthonormalized: int
 
 
@@ -140,7 +141,6 @@ def optimize_W(problem: StiefelProblem, W0: np.ndarray,
     F = objective_FW(problem, W, Cm)
     best_W, best_F = W.copy(), F
     g_window = [-F]
-    stalled = False
     refixes = 0
     a = None
     prev = None  # (W, G_descent)
@@ -182,16 +182,20 @@ def optimize_W(problem: StiefelProblem, W0: np.ndarray,
         for _ in range(MAX_HALVINGS + 1):
             try:
                 W_new = cayley_step(W, G, trial, factors)
+                if np.array_equal(W_new, W):
+                    break  # the step is below W's rounding; shorter ones are too
                 F_new = objective_FW(problem, W_new, Cm)
             except (CayleyStepError, ValueError):
                 trial *= 0.5
                 continue
-            if -F_new <= g_ref - RHO * trial * 0.5 * A_norm2:
+            # the decrease itself against the bar: g_ref - bar rounds to g_ref
+            # when the bar is below g_ref's ulp, which would pass a step that
+            # gains nothing
+            if g_ref + F_new >= RHO * trial * 0.5 * A_norm2:
                 accepted = True
                 break
             trial *= 0.5
         if not accepted:
-            stalled = True
             break
 
         prev = (W.copy(), G)
@@ -208,4 +212,5 @@ def optimize_W(problem: StiefelProblem, W0: np.ndarray,
             best_F, best_W = F, W.copy()
 
     grad_norm = float(np.linalg.norm(tangent_project(best_W, gradient_J(problem, best_W))))
+    stalled = grad_norm > GRAD_TOL * (1.0 + abs(best_F))
     return StiefelResult(best_W, best_F, steps, grad_norm, stalled, refixes)

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg as sla
+from scipy.linalg.blas import dtrmm
 from scipy.special import logsumexp
 
 from .problems import constraint_value_and_gradient, log_utility
@@ -54,7 +55,9 @@ def _sample_joint(state: VariationalState, count, rng):
         d_theta = lr.B_th.shape[0]
         d_y = state.d_y
         n = lr.A.shape[0]
-        xt = (lr.prior.chol @ rng.standard_normal((d_theta, count))).T
+        # L xi as U^T xi on the factor's Fortran-order view U = L^T
+        xt = dtrmm(1.0, lr.prior.chol.T, rng.standard_normal((d_theta, count)),
+                   trans_a=1).T
         xy = sla.solve_triangular(lr.Py_cho[0].T, rng.standard_normal((d_y, count)),
                                   lower=False).T
         e = rng.standard_normal((count, n)) / np.sqrt(lr.tau_Q)

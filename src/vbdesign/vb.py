@@ -26,6 +26,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.linalg as sla
+from scipy.linalg.blas import dtrmm
 
 from .random_field import FieldPrior
 from . import stiefel
@@ -74,10 +75,6 @@ class PriorConfig:
     def mu_theta0(self):
         return self.field_prior.mean
 
-    @property
-    def C_theta0(self):
-        return self.field_prior.C_theta0
-
 
 @dataclass
 class SensitivitySpectrum:
@@ -90,7 +87,8 @@ class LowRankFactors:
     """Woodbury pieces of the (eta_theta, y) covariance.
 
     Cov = blockdiag(C0, Py^{-1}) - B S^{-1} B^T with B = [B_th; B_y],
-    S = I/tau_Q + G_theta C0 G_theta^T + A Py^{-1} A^T, A = G_z W.
+    S = I/tau_Q + G_theta C0 G_theta^T + A Py^{-1} A^T, A = G_z W, and
+    C0 = L L^T the field prior held as its factor L.
     """
 
     prior: FieldPrior
@@ -122,9 +120,11 @@ class VariationalState:
 
     @property
     def C_thth(self) -> np.ndarray:
+        """Dense theta block; formed on first read, which the pipeline never does."""
         if self._C_thth is None:
             lr = self.lowrank
-            self._C_thth = lr.prior.C_theta0 - lr.B_th @ sla.cho_solve(lr.S_cho, lr.B_th.T)
+            L = lr.prior.chol
+            self._C_thth = L @ L.T - lr.B_th @ sla.cho_solve(lr.S_cho, lr.B_th.T)
         return self._C_thth
 
     @property
@@ -213,7 +213,12 @@ def vb_expectation(G_theta, G_z, params: ModelParams, prior: PriorConfig,
     G_theta, A, Py, tau_z = _q_blocks(G_theta, G_z, params, prior, tau_Q, f, eps_c2)
     fp = prior.field_prior
     n = G_theta.shape[0]
-    B_th = fp.C_theta0 @ G_theta.T
+    # B_th = C0 G_theta^T = L (L^T G_theta^T) by two triangular products on
+    # U = L^T, the factor's Fortran-order view; the first copies G_theta^T,
+    # the second overwrites that copy
+    U = fp.chol.T
+    B_th = dtrmm(1.0, U, G_theta.T)
+    B_th = dtrmm(1.0, U, B_th, trans_a=1, overwrite_b=1)
     M = G_theta @ B_th
     try:
         Py_cho = sla.cho_factor(Py, lower=True)

@@ -6,10 +6,15 @@ from vbdesign.vb import ModelParams, PriorConfig, initial_W
 
 
 def make_field_prior(d, rng, scale=1.0, mean=0.0):
-    """Dense random SPD prior for toy instances."""
+    """Random SPD prior for toy instances, held as its factor like the real one."""
     A = rng.standard_normal((d, d))
     C = scale * (A @ A.T / d + np.eye(d))
-    return FieldPrior(mean, scale, 1.0, C, np.linalg.cholesky(C))
+    return FieldPrior(mean, scale, 1.0, np.linalg.cholesky(C))
+
+
+def prior_covariance(fp):
+    """The dense C_theta0 a FieldPrior stands for, formed from its factor."""
+    return fp.chol @ fp.chol.T
 
 
 @pytest.fixture

@@ -146,9 +146,11 @@ def test_criterion_1_forward_call_budget(heat_run, topo04_run, topo02_run):
 def _sigma2_floor(run):
     """Lower bounds on the ordered sigma^2 that the joint q allows:
     1 / (lambda_k(G_z^T (I/tau_Q + G_theta C0 G_theta^T)^{-1} G_z) + tau_y0)."""
+    from conftest import prior_covariance
     mres = run.map_result
     Gt, Gz = mres.G_theta, mres.G_z
-    K = np.eye(Gt.shape[0]) / run.model.tau_Q + Gt @ run.model.field_prior.C_theta0 @ Gt.T
+    C0 = prior_covariance(run.model.field_prior)
+    K = np.eye(Gt.shape[0]) / run.model.tau_Q + Gt @ C0 @ Gt.T
     lam = np.linalg.eigvalsh(Gz.T @ np.linalg.solve(K, Gz))[::-1]
     return 1.0 / (lam + run.prior.tau_y0)
 
@@ -332,7 +334,7 @@ def test_criterion_6_oracle_equivalences(rng):
     checks.append(("adjoint_elasticity<=1e-3", err_topo <= 1e-3, f"err={err_topo:.2e}"))
 
     # (d) one Gauss-Newton step on a linear model vs direct solve
-    from conftest import LinearModel, make_field_prior
+    from conftest import LinearModel, make_field_prior, prior_covariance
     fp = make_field_prior(6, rng, mean=0.2)
     pr = PriorConfig(tau_y0=1e-2, eps2=1e-6, field_prior=fp)
     lm = LinearModel(rng.standard_normal((3, 6)), rng.standard_normal((3, 4)),
@@ -342,7 +344,7 @@ def test_criterion_6_oracle_equivalences(rng):
     u = lm.evaluate(mu_t, mu_z)
     it = map_opt.MapIterate(mu_t, mu_z, lm.u_target - u, lm.G_theta, lm.G_z, 1, 0.0)
     dt, dz, _, _ = map_opt.gn_step(it, pr, lm.tau_Q, c_z0=50.0)
-    C0inv = np.linalg.inv(fp.C_theta0)
+    C0inv = np.linalg.inv(prior_covariance(fp))
     H = np.block([[lm.tau_Q * lm.G_theta.T @ lm.G_theta + C0inv,
                    lm.tau_Q * lm.G_theta.T @ lm.G_z],
                   [lm.tau_Q * lm.G_z.T @ lm.G_theta,

@@ -1,10 +1,14 @@
 """Config parsing, pipeline artifacts, determinism, exit codes."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from vbdesign import cli
 from vbdesign.cli import ConfigError, build_problem, parse_config, run
+
+from conftest import prior_covariance
 
 SMALL_HEAT = """
 # compact heat setup for fast runs
@@ -79,6 +83,22 @@ class TestParseConfig:
         assert cfg.sample_levels == (0.9, 0.5)
 
 
+class TestBuildProblem:
+    def test_problem_holds_one_square_array(self):
+        # the prior's factor is the only d_theta x d_theta array set-up leaves
+        # alive, and set-up never holds two at once
+        cfg = parse_config("problem = topo\nmesh.nx = 30\nmesh.ny = 25")
+        tracemalloc.start()
+        try:
+            model = build_problem(cfg)
+            current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        square = model.d_theta ** 2 * 8
+        assert model.d_theta == 1500
+        assert current < 1.5 * square and peak < 1.5 * square
+
+
 @pytest.fixture(scope="module")
 def heat_run(tmp_path_factory):
     out = tmp_path_factory.mktemp("heat")
@@ -120,6 +140,20 @@ class TestRunPipeline:
         rows = (out / "f_trace.csv").read_text().splitlines()[1:]
         F = np.array([float(r.split(",")[1]) for r in rows])
         assert np.all(np.diff(F) >= -1e-8 * (1 + np.abs(F[:-1])))
+
+    def test_state_rebuilds_theta_block(self, heat_run):
+        # state.npz holds B_th and the factor of S, not the dense C_thth:
+        # C_thth = C_theta0 - B_th S^-1 B_th^T with C_theta0 from the config
+        out, art = heat_run
+        fp = build_problem(parse_config(SMALL_HEAT)).field_prior
+        with np.load(out / "state.npz") as z:
+            assert "C_thth" not in z.files
+            B_th, S_chol = z["B_th"], z["S_chol"]
+        assert np.array_equal(S_chol, np.tril(S_chol))
+        half = np.linalg.solve(S_chol, B_th.T)
+        C_thth = prior_covariance(fp) - half.T @ half
+        expected = art.vbem.state.C_thth
+        assert np.max(np.abs(C_thth - expected)) <= 1e-12 * np.max(np.abs(expected))
 
     def test_rerun_bitwise_identical_spectrum(self, heat_run, tmp_path):
         out, _ = heat_run

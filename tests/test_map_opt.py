@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from conftest import LinearModel, make_field_prior
+from conftest import LinearModel, make_field_prior, prior_covariance
 from vbdesign.map_opt import MapIterate, MapOptions, gn_step, optimize_map
 from vbdesign.problems import (
     ConstraintDescriptor,
@@ -34,7 +34,7 @@ class TestGnStep:
         dt, dz, _, _ = gn_step(it, prior, model.tau_Q, c_z0=c_z0)
 
         fp = prior.field_prior
-        C0inv = np.linalg.inv(fp.C_theta0)
+        C0inv = np.linalg.inv(prior_covariance(fp))
         Gt, Gz = model.G_theta, model.G_z
         tq = model.tau_Q
         H = np.block([[tq * Gt.T @ Gt + C0inv, tq * Gt.T @ Gz],

@@ -210,3 +210,29 @@ class TestOptimizeW:
         out = optimize_W(prob, W0, max_steps=100)
         assert out.steps >= 1 and out.F_W > F0
         assert out.grad_norm <= GRAD_TOL * (1.0 + abs(out.F_W))
+
+    def test_stiff_constraint_reports_unfinished_ascent(self):
+        # f in span(W0), eps_c2 = 1e-10 and G_z orthogonal to f: F_W is about
+        # 5e11, so a sufficient-decrease bar below its ulp rounds away. A
+        # step must still gain, and must move W; a run that ends above the
+        # gradient bar says so through `stalled`
+        rng = np.random.default_rng(0)
+        d_z = 8
+        f = rng.standard_normal(d_z)
+        G_z = 10.0 * rng.standard_normal((1, d_z))
+        G_z -= np.outer(G_z @ f, f) / (f @ f)
+        W0 = np.linalg.qr(np.column_stack([f, rng.standard_normal(d_z)]))[0]
+        prob = StiefelProblem(G_z=G_z, cross=np.zeros((d_z, 2)), C_yy=np.eye(2),
+                              tau_z=1e-2, tau_Q=1.0, f=f, eps_c2=1e-10)
+        out = optimize_W(prob, W0, max_steps=100)
+        assert out.grad_norm > GRAD_TOL * (1.0 + abs(out.F_W))
+        assert out.stalled
+        W = W0
+        for _ in range(60):
+            one = optimize_W(prob, W, max_steps=1)
+            if one.steps:
+                assert not np.array_equal(one.W, W)
+                assert one.F_W > objective_FW(prob, W)
+            else:
+                assert one.stalled and np.array_equal(one.W, W)
+            W = one.W

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 import scipy.optimize
 
-from conftest import make_field_prior, toy_vb_instance
+from conftest import make_field_prior, prior_covariance, toy_vb_instance
 from vbdesign.vb import (
     ModelParams,
     PriorConfig,
@@ -29,7 +29,7 @@ class TestVbExpectation:
     def test_prior_recovery_with_zero_jacobians(self, rng):
         G_theta, G_z, params, prior, tau_Q, _ = toy_vb_instance(rng)
         st = vb_expectation(0 * G_theta, 0 * G_z, params, prior, tau_Q)
-        assert np.allclose(st.C_thth, prior.C_theta0, atol=1e-10)
+        assert np.allclose(st.C_thth, prior_covariance(prior.field_prior), atol=1e-10)
         assert np.allclose(st.C_thy, 0.0, atol=1e-12)
         assert np.allclose(st.C_yy, np.eye(params.d_y) / prior.tau_y0, atol=1e-8)
         assert st.tau_z == pytest.approx(prior.tau_z0)
@@ -37,7 +37,6 @@ class TestVbExpectation:
     def test_scalar_toy_hand_inverse(self, rng):
         # d_theta = d_y = 1, d_z = 2, W = e1, unit data: invert 2x2 by hand
         fp = make_field_prior(1, rng)
-        fp.C_theta0[0, 0] = 1.0
         fp.chol[0, 0] = 1.0
         prior = PriorConfig(tau_y0=1.0, eps2=0.5, field_prior=fp)
         params = ModelParams(np.zeros(2), np.eye(2)[:, :1], np.zeros(1))
@@ -179,7 +178,7 @@ class TestEvaluateF:
         log_U = -0.5 * tau_Q * np.sum(lin**2, axis=1)
         fp = prior.field_prior
         dev = params.mu_theta[None, :] + eta_th - fp.mean[None, :]
-        sol = np.linalg.solve(fp.C_theta0, dev.T).T
+        sol = np.linalg.solve(prior_covariance(fp), dev.T).T
         log_p_th = -0.5 * np.sum(dev * sol, axis=1) - 0.5 * d_theta * np.log(2 * np.pi) \
             - 0.5 * fp.logdet()
         log_p_y = -0.5 * prior.tau_y0 * np.sum(y**2, axis=1) \
