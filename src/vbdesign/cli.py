@@ -45,9 +45,6 @@ class RunConfig:
     vb_d_y: int = 10
     vb_tau_y0_inv: float = 1e4
     vb_eps2: float = 1e-10
-    vb_w_steps: int = 100
-    vb_max_iters: int = 200
-    vb_ftol: float = 1e-8
     map_tol: float = 1e-5
     map_max_iter: int = 220
     map_c_z0: float = 100.0
@@ -76,9 +73,6 @@ _KEYS = {
     "vb.d_y": ("vb_d_y", int),
     "vb.tau_y0_inv": ("vb_tau_y0_inv", float),
     "vb.eps2": ("vb_eps2", float),
-    "vb.w_steps": ("vb_w_steps", int),
-    "vb.max_iters": ("vb_max_iters", int),
-    "vb.ftol": ("vb_ftol", float),
     "map.tol": ("map_tol", float),
     "map.max_iter": ("map_max_iter", int),
     "map.c_z0": ("map_c_z0", float),
@@ -235,9 +229,7 @@ def run(cfg: RunConfig, stage: str = "all", outdir=None) -> RunArtifacts:
                                  W=vb.initial_W(model.d_z, cfg.vb_d_y, rng_w),
                                  mu_theta=mres.mu_theta)
         vres = vb.run_vbem(mres.G_theta, mres.G_z, params0, prior, model.tau_Q,
-                           mres.residual, f=f, eps_c2=eps_c2,
-                           w_steps=cfg.vb_w_steps, max_iters=cfg.vb_max_iters,
-                           ftol=cfg.vb_ftol, log_p_mu_z=log_p_mu_z)
+                           mres.residual, f=f, eps_c2=eps_c2, log_p_mu_z=log_p_mu_z)
         art.vbem = vres
         timings["vbem"] = time.perf_counter() - t0
 

@@ -156,15 +156,16 @@ def gn_step(iterate: MapIterate, prior: PriorConfig, tau_Q: float,
 
 
 def optimize_map(model, prior: PriorConfig, options: MapOptions = None,
-                 init_mu_theta=None, init_mu_z=None) -> MapResult:
-    """Iterate damped Gauss-Newton until both relative step norms fall
-    below the tolerance or the iteration budget runs out."""
+                 init_mu_z=None) -> MapResult:
+    """Iterate damped Gauss-Newton from the field's prior mean until both
+    relative step norms fall below the tolerance or the iteration budget
+    runs out."""
     opts = options or MapOptions()
     fp = prior.field_prior
     constrained = model.constraint is not None
 
-    mu_theta = fp.mean.copy() if init_mu_theta is None else np.array(init_mu_theta, dtype=float)
-    v = sla.solve_triangular(fp.chol, mu_theta - fp.mean, lower=True)
+    mu_theta = fp.mean.copy()
+    v = np.zeros(fp.d)
     if init_mu_z is not None:
         mu_z = np.array(init_mu_z, dtype=float)
     elif constrained:

@@ -162,10 +162,11 @@ class HeatFluxProblem(ForwardModel):
 
 class TopologyProblem(ForwardModel):
     E_MIN = 1e-10
+    NU = 0.3            # Poisson ratio
+    POINT_LOAD = 1e-3   # downward load at the bottom-right corner
 
     def __init__(self, mesh: Mesh, field_prior: FieldPrior, tau_Q: float,
-                 u_target: np.ndarray, obs_points: np.ndarray, constraint,
-                 nu: float = 0.3, point_load=1e-3):
+                 u_target: np.ndarray, obs_points: np.ndarray, constraint):
         super().__init__()
         self.mesh = mesh
         self.field_prior = field_prior
@@ -180,7 +181,7 @@ class TopologyProblem(ForwardModel):
         corner = int(np.argmin(np.sum((mesh.nodes - [Lx, 0.0]) ** 2, axis=1)))
         self.bc = BoundaryConditions.build(
             mesh, 2, ("left",),
-            point_loads=[(corner, 1, -float(point_load))])
+            point_loads=[(corner, 1, -self.POINT_LOAD)])
         self.load = self.bc.load_vector()
 
         # downward-positive vertical outputs: -u2 interpolated on the bottom edge
@@ -189,7 +190,7 @@ class TopologyProblem(ForwardModel):
         cols = np.repeat(np.arange(self.n), 3)
         self.L_obs = sp.coo_matrix((-w.ravel(), (rows, cols)),
                                    shape=(2 * mesh.n_nodes, self.n)).tocsc()
-        self._ke_unit = unit_elasticity_element_matrices(mesh, nu)
+        self._ke_unit = unit_elasticity_element_matrices(mesh, self.NU)
         self._dofs = element_dofs(mesh, 2)
         self.pattern = StiffnessPattern.build(self._dofs, self._ke_unit, self.bc.free)
 

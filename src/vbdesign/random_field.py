@@ -76,11 +76,14 @@ def build_covariance(centroids: np.ndarray, sigma_g2: float, x0: float,
     near-singular fine-grid case of the exponential kernel. The failed
     factorization has overwritten the kernel, so the retry builds it again.
     """
-    if x0 <= 0.0:
-        raise ValueError("correlation length must be positive")
-    if sigma_g2 <= 0.0:
-        raise ValueError("variance must be positive")
+    if not 0.0 < x0 < np.inf:
+        raise ValueError("correlation length must be positive and finite")
+    if not 0.0 < sigma_g2 < np.inf:
+        raise ValueError("variance must be positive and finite")
     pts = np.asarray(centroids, dtype=float)
+    # LAPACK factors a NaN kernel without reporting a failed pivot
+    if not np.all(np.isfinite(pts)):
+        raise ValueError("centroids must be finite")
     C = np.empty((pts.shape[0], pts.shape[0]))
     _fill_kernel(C, pts, sigma_g2, x0)
     L, info = _factor_in_place(C)

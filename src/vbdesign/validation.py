@@ -70,14 +70,14 @@ def _sample_joint(state: VariationalState, count, rng):
     return x[:, :d_theta], x[:, d_theta:]
 
 
-def _log_q_joint(state: VariationalState, eta_theta, y):
-    count = eta_theta.shape[0]
+def _log_q_joint(state: VariationalState, eta_theta, y, white):
+    """log q(eta_theta, y) given white = L^-1 eta_theta^T for the field
+    prior's factor L; the low-rank form reads its prior term from white."""
     d = eta_theta.shape[1] + y.shape[1]
     logdet = state.logdet_joint_cov()
     if state.lowrank is not None:
         lr = state.lowrank
-        half = sla.solve_triangular(lr.prior.chol, eta_theta.T, lower=True)
-        quad = np.sum(half**2, axis=0)
+        quad = np.sum(white**2, axis=0)
         # cho_factor leaves the input matrix in the unused upper triangle
         Ly = np.tril(lr.Py_cho[0])
         quad += np.sum((Ly.T @ y.T) ** 2, axis=0)
@@ -112,14 +112,18 @@ def estimate_nKL(model, state: VariationalState, params: ModelParams,
     xi = rng.standard_normal((M, d_z))
     eta_z = (xi - (xi @ params.W) @ params.W.T) / np.sqrt(state.tau_z)
 
-    log_q = _log_q_joint(state, eta_theta, y)
+    # one solve whitens both the mean's deviation and the draws
+    fp = prior.field_prior
+    white = sla.solve_triangular(
+        fp.chol, np.column_stack([params.mu_theta - fp.mean, eta_theta.T]),
+        lower=True, check_finite=False)
+    log_q = _log_q_joint(state, eta_theta, y, white[:, 1:])
     if k > 0:
         log_q = log_q - 0.5 * state.tau_z * np.sum(eta_z**2, axis=1) \
             + 0.5 * k * (np.log(state.tau_z) - LOG_2PI)
 
-    fp = prior.field_prior
-    half = sla.solve_triangular(fp.chol, (params.mu_theta + eta_theta - fp.mean).T,
-                                lower=True)
+    half = white[:, 1:]
+    half += white[:, :1]  # in place: log q has read the draws' part already
     log_p_theta = -0.5 * np.sum(half**2, axis=0) \
         - 0.5 * fp.d * LOG_2PI - 0.5 * fp.logdet()
     log_p_y = -0.5 * prior.tau_y0 * np.sum(y**2, axis=1) \

@@ -32,6 +32,9 @@ from .random_field import FieldPrior
 from . import stiefel
 
 LOG_2PI = np.log(2.0 * np.pi)
+W_STEPS = 100    # Cayley steps per basis update
+MAX_ITERS = 200  # q-and-basis iterations of run_vbem
+FTOL = 1e-8      # relative bound change of run_vbem's plateau stop
 
 
 class IndefinitePrecisionError(RuntimeError):
@@ -380,18 +383,17 @@ def initial_W(d_z: int, d_y: int, rng: np.random.Generator) -> np.ndarray:
 
 
 def run_vbem(G_theta, G_z, params: ModelParams, prior: PriorConfig, tau_Q: float,
-             residual, f=None, eps_c2=None, w_steps: int = 100,
-             max_iters: int = 200, ftol: float = 1e-8,
-             log_p_mu_z: float = 0.0) -> VbemResult:
+             residual, f=None, eps_c2=None, log_p_mu_z: float = 0.0) -> VbemResult:
     """Alternate the closed-form q update with Cayley ascent on the basis.
 
     Point estimates stay fixed here; no forward solves occur. The start is
     the top k = min(d_y, n + 1) left singular vectors of
     B = [sqrt(tau_Q) G_z^T, f / sqrt(eps_c2)] (B B^T = H, module docstring),
     then the passed W projected off them and orthonormalized, which picks
-    only the d_y - k flat columns. The ascent polishes that basis when
-    d_y < n + 1 and certifies it otherwise. Stops when the relative bound
-    change stays below ftol for 3 consecutive iterations.
+    only the d_y - k flat columns; for d_y >= n + 1 the tangent gradient
+    vanishes there. The loop stops at its fixed point, the first ascent that
+    leaves W unchanged (converged unless it stalled), or when the relative
+    bound change stays below FTOL for 3 consecutive iterations.
     """
     fkw = dict(f=f, eps_c2=eps_c2, log_p_mu_z=log_p_mu_z)
     B = np.sqrt(tau_Q) * G_z.T
@@ -401,31 +403,27 @@ def run_vbem(G_theta, G_z, params: ModelParams, prior: PriorConfig, tau_Q: float
     k = min(params.d_y, U.shape[1])
     W = np.linalg.qr(np.hstack([U[:, :k], params.W]))[0][:, :params.d_y]
     params = replace(params, W=W)
+    state = vb_expectation(G_theta, G_z, params, prior, tau_Q, f=f, eps_c2=eps_c2)
     history = []
     streak = 0
-    F_prev = None
-    state = None
-    for _ in range(max_iters):
-        state = vb_expectation(G_theta, G_z, params, prior, tau_Q,
-                               f=f, eps_c2=eps_c2)
+    for _ in range(MAX_ITERS):
         F_q = evaluate_F(state, params, prior, tau_Q, residual, G_theta, G_z, **fkw)
-
         problem = stiefel.StiefelProblem(
             G_z=G_z, cross=G_z.T @ (G_theta @ state.C_thy), C_yy=state.C_yy,
             tau_z=state.tau_z, tau_Q=tau_Q, f=f, eps_c2=eps_c2)
-        params = replace(params, W=stiefel.optimize_W(problem, params.W, w_steps).W)
+        res = stiefel.optimize_W(problem, params.W, W_STEPS)
+        if res.steps == 0:
+            # W unchanged: the next q, and every iteration after it, repeats this one
+            history.append((F_q, F_q))
+            return VbemResult(state, params, history, len(history), not res.stalled)
+        params = replace(params, W=res.W)
         F_w = evaluate_F(state, params, prior, tau_Q, residual, G_theta, G_z, **fkw)
-        history.append((F_q, F_w))
-
-        if F_prev is not None and abs(F_w - F_prev) <= ftol * (1.0 + abs(F_w)):
+        if history and abs(F_w - history[-1][1]) <= FTOL * (1.0 + abs(F_w)):
             streak += 1
         else:
             streak = 0
-        F_prev = F_w
+        history.append((F_q, F_w))
+        state = vb_expectation(G_theta, G_z, params, prior, tau_Q, f=f, eps_c2=eps_c2)
         if streak >= 3:
             break
-    converged = streak >= 3
-    # refresh q so the returned state matches the final basis
-    state = vb_expectation(G_theta, G_z, params, prior, tau_Q,
-                           f=f, eps_c2=eps_c2)
-    return VbemResult(state, params, history, len(history), converged)
+    return VbemResult(state, params, history, len(history), streak >= 3)

@@ -383,8 +383,7 @@ def test_criterion_7_property_suites(heat_run, topo04_run, topo02_run, rng, tmp_
     checks.append(("jensen_all_reports", worst >= -1e-12, f"min KL={worst:.3g}"))
 
     # seed determinism of pipeline artifacts (bitwise)
-    cfg_text = ("problem = heat_flux\nmesh.nx = 8\nmesh.ny = 4\nvb.d_y = 3\n"
-                "vb.max_iters = 25\nseed = 7\n")
+    cfg_text = "problem = heat_flux\nmesh.nx = 8\nmesh.ny = 4\nvb.d_y = 3\nseed = 7\n"
     out_a = tmp_path / "a"
     out_b = tmp_path / "b"
     run(parse_config(cfg_text), stage="vbem", outdir=out_a)

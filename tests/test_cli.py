@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from vbdesign import cli
+from vbdesign import cli, vb
 from vbdesign.cli import ConfigError, build_problem, parse_config, run
 
 from conftest import prior_covariance
@@ -16,7 +16,6 @@ problem = heat_flux
 mesh.nx = 8
 mesh.ny = 4
 vb.d_y = 3
-vb.max_iters = 40
 validate.M = 40
 sample.count = 3
 seed = 11
@@ -27,7 +26,6 @@ problem = topo
 mesh.nx = 8
 mesh.ny = 5
 vb.d_y = 4
-vb.max_iters = 30
 topo_prior.sweeps = 150
 topo_prior.burn_in = 40
 validate.M = 30
@@ -41,7 +39,7 @@ class TestParseConfig:
         cfg = parse_config("problem = heat_flux")
         assert cfg.vb_tau_y0_inv == 1e4
         assert cfg.vb_eps2 == 1e-10
-        assert cfg.vb_w_steps == 100
+        assert (vb.W_STEPS, vb.MAX_ITERS, vb.FTOL) == (100, 200, 1e-8)
         assert cfg.map_tol == 1e-5
         assert cfg.field_sigma_g2 == 0.223
         assert cfg.field_x0 == 0.1
@@ -64,6 +62,11 @@ class TestParseConfig:
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError):
             parse_config("problem = heat_flux\nbogus.key = 1")
+
+    @pytest.mark.parametrize("key", ["vb.w_steps", "vb.max_iters", "vb.ftol"])
+    def test_removed_loop_settings_rejected(self, key):
+        with pytest.raises(ConfigError):
+            parse_config(f"problem = heat_flux\n{key} = 10")
 
     def test_bad_value_rejected(self):
         with pytest.raises(ConfigError):
@@ -180,7 +183,7 @@ class TestRunPipeline:
     def test_degenerate_full_reduced_dimension(self, tmp_path):
         # d_y = d_z: no complement left, tau_z stays at its prior value
         cfg = parse_config("problem = heat_flux\nmesh.nx = 6\nmesh.ny = 3\n"
-                           "vb.d_y = 4\nvb.max_iters = 10\nseed = 1")
+                           "vb.d_y = 4\nseed = 1")
         cfg.vb_d_y = build_problem(cfg).d_z
         art = run(cfg, stage="vbem", outdir=tmp_path)
         prior_tau_z0 = (1.0 / cfg.vb_tau_y0_inv) * cfg.vb_eps2

@@ -47,6 +47,16 @@ class TestBuildCovariance:
         with pytest.raises(ValueError):
             build_covariance(pts, SG2, 0.0)
 
+    def test_rejects_non_finite_input(self, rng):
+        # LAPACK factors a NaN kernel without reporting a failed pivot
+        pts = rng.uniform(size=(50, 2))
+        pts[17, 1] = np.nan
+        with pytest.raises(ValueError):
+            build_covariance(pts, SG2, X0)
+        for sigma_g2, x0 in ((np.nan, X0), (np.inf, X0), (SG2, np.nan), (SG2, np.inf)):
+            with pytest.raises(ValueError):
+                build_covariance(pts[:3], sigma_g2, x0)
+
     def test_solve_and_quad_consistent(self, rng):
         prior = small_prior()
         v = rng.standard_normal(prior.d)

@@ -2,10 +2,12 @@
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 from scipy.stats import multivariate_normal
 
-from conftest import LinearModel, make_field_prior, toy_vb_instance
-from vbdesign.validation import _log_q_joint, estimate_nKL, sample_q
+from conftest import LinearModel, make_field_prior, prior_covariance, toy_vb_instance
+from vbdesign.problems import log_utility
+from vbdesign.validation import _log_q_joint, _sample_joint, estimate_nKL, sample_q
 from vbdesign.vb import (ModelParams, PriorConfig, dense_expectation, initial_W,
                          run_vbem, vb_expectation)
 
@@ -89,7 +91,8 @@ class TestLogQJoint:
         cov = st.joint_cov()
         x = rng.multivariate_normal(np.zeros(d_theta + d_y), cov, size=50)
         expect = multivariate_normal(np.zeros(d_theta + d_y), cov).logpdf(x)
-        got = _log_q_joint(st, x[:, :d_theta], x[:, d_theta:])
+        white = sla.solve_triangular(prior.field_prior.chol, x[:, :d_theta].T, lower=True)
+        got = _log_q_joint(st, x[:, :d_theta], x[:, d_theta:], white)
         assert np.max(np.abs(got - expect)) <= 1e-8 * (1.0 + np.max(np.abs(expect)))
 
 
@@ -102,6 +105,37 @@ class TestEstimateNKL:
         rep = estimate_nKL(model, st, params, prior, 600, rng)
         assert abs(rep.KL_estimate) <= max(3 * rep.kl_se, 1e-6)
         assert rep.forward_calls == 600
+
+    def test_log_weights_match_dense_densities(self, rng):
+        # every density of log w from scipy's dense Gaussians, on the draws
+        # the estimator takes from the same stream
+        d_theta, d_z, d_y, n, M = 6, 5, 2, 3, 40
+        model, params, prior = linear_bundle(rng, d_theta=d_theta, d_z=d_z,
+                                             d_y=d_y, n=n)
+        st = vb_expectation(model.G_theta, model.G_z, params, prior, model.tau_Q)
+        got = estimate_nKL(model, st, params, prior, M,
+                           np.random.default_rng(9)).log_weights
+
+        replay = np.random.default_rng(9)
+        eta_theta, y = _sample_joint(st, M, replay)
+        xi = replay.standard_normal((M, d_z))
+        W = params.W
+        eta_z = (xi - (xi @ W) @ W.T) / np.sqrt(st.tau_z)
+        theta = params.mu_theta + eta_theta
+        zs = params.mu_z + y @ W.T + eta_z
+        k = d_z - d_y
+        fp = prior.field_prior
+        log_u = np.array([log_utility(model, model.evaluate(t, z))
+                          for t, z in zip(theta, zs)])
+        log_p_theta = multivariate_normal(fp.mean, prior_covariance(fp)).logpdf(theta)
+        log_p_y = multivariate_normal(np.zeros(d_y), np.eye(d_y) / prior.tau_y0).logpdf(y)
+        log_q = multivariate_normal(np.zeros(d_theta + d_y),
+                                    st.joint_cov()).logpdf(np.hstack([eta_theta, y]))
+        sq = np.sum(eta_z**2, axis=1)
+        log_eta_z = (-0.5 * (prior.tau_z0 - st.tau_z) * sq
+                     + 0.5 * k * np.log(prior.tau_z0 / st.tau_z))
+        expect = log_u + log_p_theta + log_p_y + log_eta_z - log_q
+        assert np.max(np.abs(got - expect)) <= 1e-10 * np.max(np.abs(expect))
 
     def test_jensen_consistency(self, rng):
         for k in range(4):
@@ -184,8 +218,7 @@ class TestVbemIntegration:
         kls = []
         for d_y in (1, 3, 5):
             params = ModelParams(mu_z, initial_W(6, d_y, rng), mu_theta)
-            out = run_vbem(G_theta, G_z, params, prior, model.tau_Q,
-                           np.zeros(4), w_steps=60, max_iters=80)
+            out = run_vbem(G_theta, G_z, params, prior, model.tau_Q, np.zeros(4))
             rep = estimate_nKL(model, out.state, out.params, prior, 400,
                                np.random.default_rng(31))
             kls.append(rep.KL_estimate)

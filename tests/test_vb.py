@@ -12,6 +12,7 @@ import pytest
 import scipy.optimize
 
 from conftest import make_field_prior, prior_covariance, toy_vb_instance
+from vbdesign import stiefel, vb
 from vbdesign.vb import (
     ModelParams,
     PriorConfig,
@@ -150,8 +151,7 @@ class TestEvaluateF:
     def test_monotone_over_recorded_run(self, rng):
         G_theta, G_z, params, prior, tau_Q, residual = toy_vb_instance(
             rng, d_theta=8, d_z=6, d_y=2, n=3)
-        out = run_vbem(G_theta, G_z, params, prior, tau_Q, residual,
-                       w_steps=40, max_iters=60)
+        out = run_vbem(G_theta, G_z, params, prior, tau_Q, residual)
         flat = [v for pair in out.F_history for v in pair]
         diffs = np.diff(flat)
         assert np.all(diffs >= -1e-8 * (1.0 + np.abs(np.array(flat[:-1]))))
@@ -344,16 +344,46 @@ class TestRunVbem:
         # d_y = d_z: no complement, tau_z stays at its prior value
         G_theta, G_z, params, prior, tau_Q, residual = toy_vb_instance(
             rng, d_theta=4, d_z=3, d_y=3, n=2)
-        out = run_vbem(G_theta, G_z, params, prior, tau_Q, residual,
-                       w_steps=20, max_iters=10)
+        out = run_vbem(G_theta, G_z, params, prior, tau_Q, residual)
         assert out.state.tau_z == pytest.approx(prior.tau_z0)
 
     def test_returned_state_matches_final_basis(self, rng):
         G_theta, G_z, params, prior, tau_Q, residual = toy_vb_instance(rng)
-        out = run_vbem(G_theta, G_z, params, prior, tau_Q, residual,
-                       w_steps=30, max_iters=20)
+        out = run_vbem(G_theta, G_z, params, prior, tau_Q, residual)
         st = vb_expectation(G_theta, G_z, out.params, prior, tau_Q)
         assert np.allclose(st.C_yy, out.state.C_yy, atol=1e-12)
+
+    def test_stops_at_the_closed_form_fixed_point(self, rng, monkeypatch):
+        # d_y >= n + 1: the start spans G_z^T and f, the ascent takes no step,
+        # and one q update is all the loop needs
+        G_theta, G_z, params, prior, tau_Q, residual = toy_vb_instance(
+            rng, d_theta=6, d_z=20, d_y=6, n=4)
+        f = rng.standard_normal(20)
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return vb_expectation(*args, **kwargs)
+
+        monkeypatch.setattr(vb, "vb_expectation", counting)
+        out = run_vbem(G_theta, G_z, params, prior, tau_Q, residual, f=f, eps_c2=1e-4)
+        assert (out.iterations, len(calls), out.converged) == (1, 1, True)
+        assert out.F_history[0][0] == out.F_history[0][1]
+        st = vb_expectation(G_theta, G_z, out.params, prior, tau_Q, f=f, eps_c2=1e-4)
+        for name in ("C_yy", "C_thy", "tau_z"):
+            assert np.array_equal(getattr(st, name), getattr(out.state, name))
+        assert np.array_equal(st.lowrank.B_th, out.state.lowrank.B_th)
+        assert np.array_equal(st.lowrank.S_cho[0], out.state.lowrank.S_cho[0])
+
+    def test_stalled_ascent_without_a_step_is_not_converged(self, rng, monkeypatch):
+        G_theta, G_z, params, prior, tau_Q, residual = toy_vb_instance(rng)
+
+        def stalled(problem, W0, max_steps):
+            return stiefel.StiefelResult(W0.copy(), 0.0, 0, 1.0, True, 0)
+
+        monkeypatch.setattr(stiefel, "optimize_W", stalled)
+        out = run_vbem(G_theta, G_z, params, prior, tau_Q, residual)
+        assert (out.iterations, out.converged) == (1, False)
 
 
 class TestClosedFormStart:
