@@ -3,12 +3,13 @@ forward problems (steady diffusion, plane-stress elastostatics).
 
 Element coefficients (conductivity, Young's modulus) are constant per
 triangle, so one-point quadrature is exact. Each problem builds a
-StiffnessPattern once: the CSC pattern of the free-free block, with the
-slot of every kept element entry. An assembly is then one weighted
-bincount into that fixed pattern; clamped dofs are never assembled. The
-block is symmetric positive definite, so solve_forward factors it with
-SuperLU in symmetric mode (minimum-degree ordering on A^T + A, diagonal
-pivots), and the factorization is retained and reused for all adjoint
+StiffnessPattern once: the reverse Cuthill-McKee order of the free-free
+block, its half-bandwidth kd, and the slot of every kept upper element
+entry in LAPACK upper band storage (kd+1, n). An assembly is then one
+weighted bincount straight into the band; clamped dofs are never
+assembled. The block is symmetric positive definite, so solve_forward
+factors the band with LAPACK's banded Cholesky (dpbtrf), dense kernels and
+no symbolic phase, and the factor is retained and reused for all adjoint
 right-hand sides.
 """
 
@@ -18,7 +19,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
+from scipy.linalg import blas, lapack
+from scipy.sparse.csgraph import reverse_cuthill_mckee
 
 
 class SingularSystemError(RuntimeError):
@@ -169,17 +171,73 @@ def unit_elasticity_element_matrices(mesh: Mesh, nu: float) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class StiffnessPattern:
-    """Fixed CSC pattern of the kept block of an element-assembled operator.
+class BandedBlock:
+    """Symmetric block in LAPACK upper band storage, rows and columns in perm order.
 
-    Built once per problem from the element dof map, the unit element
-    matrices and the sorted dofs to keep. Every element entry whose row and
-    column are both kept has its CSC slot, its unit value and its element,
-    so an assembly is one weighted bincount into the fixed pattern.
+    ab[kd + i - j, j] holds entry (i, j), i <= j, of the permuted block,
+    whose row i is row perm[i] of the block itself.
     """
 
-    indices: np.ndarray
-    indptr: np.ndarray
+    ab: np.ndarray
+    perm: np.ndarray
+
+    @property
+    def shape(self):
+        n = self.ab.shape[1]
+        return (n, n)
+
+    def toarray(self) -> np.ndarray:
+        kd = self.ab.shape[0] - 1
+        n = self.shape[0]
+        band = np.zeros((n, n))
+        for d in range(kd + 1):
+            i = np.arange(n - d)
+            band[i, i + d] = band[i + d, i] = self.ab[kd - d, d:]
+        out = np.empty_like(band)
+        out[np.ix_(self.perm, self.perm)] = band
+        return out
+
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        """Block times a vector, both in the block's own dof order."""
+        y = np.empty(self.shape[0])
+        y[self.perm] = blas.dsbmv(self.ab.shape[0] - 1, 1.0, self.ab, x[self.perm])
+        return y
+
+
+@dataclass(frozen=True)
+class BandedCholesky:
+    """Upper band Cholesky factor U (U^T U = block) of a BandedBlock."""
+
+    cb: np.ndarray
+    perm: np.ndarray
+
+    @property
+    def nnz(self) -> int:
+        return self.cb.size
+
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        """Block^-1 rhs for a vector or for each column of a matrix."""
+        x, _ = lapack.dpbtrs(self.cb, rhs[self.perm])
+        out = np.empty_like(x)
+        out[self.perm] = x
+        return out
+
+
+@dataclass(frozen=True)
+class StiffnessPattern:
+    """Band layout of the kept block of an element-assembled operator.
+
+    Built once per problem from the element dof map, the unit element
+    matrices and the sorted dofs to keep. The kept dofs are put in reverse
+    Cuthill-McKee order, perm, which makes the block a band of
+    half-bandwidth kd. Every element entry whose row and column are both
+    kept and which lies on or above the permuted diagonal has its slot in
+    Fortran-order upper band storage (kd+1, n), its unit value and its
+    element, so an assembly is one weighted bincount into the band.
+    """
+
+    perm: np.ndarray
+    kd: int
     slot: np.ndarray
     ke: np.ndarray
     elem: np.ndarray
@@ -192,34 +250,49 @@ class StiffnessPattern:
         local[keep] = np.arange(n)
         ld = local[dof_map]
         kept = (ld[:, :, None] >= 0) & (ld[:, None, :] >= 0)
-        # sorting by column, then row, gives the canonical CSC order
-        key = ld[:, None, :] * n + ld[:, :, None]
-        keys, slot = np.unique(key[kept], return_inverse=True)
+        row = np.broadcast_to(ld[:, :, None], kept.shape)[kept]
+        col = np.broadcast_to(ld[:, None, :], kept.shape)[kept]
+        # the distinct keys, sorted by column then row, are the block's CSC
+        # pattern, which is also its CSR pattern since the block is symmetric
+        # (a plain sort: np.unique's generic path takes several times longer)
+        keys = np.sort(col * n + row)
+        keys = keys[np.r_[True, keys[1:] != keys[:-1]]]
         indptr = np.zeros(n + 1, dtype=np.int32)
         np.cumsum(np.bincount(keys // n, minlength=n), out=indptr[1:])
+        graph = sp.csr_matrix((np.ones(keys.size), (keys % n).astype(np.int32), indptr),
+                              shape=(n, n))
+        perm = reverse_cuthill_mckee(graph, symmetric_mode=True)
+        pos = np.empty(n, dtype=np.int64)
+        pos[perm] = np.arange(n)
+        i, j = pos[row], pos[col]
+        upper = i <= j
+        kd = int(np.max(j - i))
         elem = np.repeat(np.arange(dof_map.shape[0]), kept.sum(axis=(1, 2)))
-        return cls((keys % n).astype(np.int32), indptr, slot, ke_unit[kept], elem,
-                   dof_map.shape[0])
+        return cls(perm, kd, ((kd + i - j) + j * (kd + 1))[upper],
+                   ke_unit[kept][upper], elem[upper], dof_map.shape[0])
 
-    def assemble(self, coef: np.ndarray, name: str) -> sp.csc_matrix:
+    def assemble(self, coef: np.ndarray, name: str) -> BandedBlock:
         """Sum of coef[e] times the kept entries of element e's unit matrix."""
         coef = np.asarray(coef, dtype=float)
         if coef.shape != (self.n_elements,):
             raise ValueError(f"{name} must be one value per element")
+        if not np.all(np.isfinite(coef)):
+            raise ValueError(f"{name} must be finite")
         if np.any(coef <= 0.0):
             raise ValueError(f"{name} must be strictly positive")
+        n = self.perm.size
         data = np.bincount(self.slot, weights=self.ke * coef[self.elem],
-                           minlength=self.indices.size)
-        n = self.indptr.size - 1
-        return sp.csc_matrix((data, self.indices, self.indptr), shape=(n, n))
+                           minlength=(self.kd + 1) * n)
+        # each column of the band is contiguous: Fortran order, as LAPACK reads it
+        return BandedBlock(data.reshape(n, self.kd + 1).T, self.perm)
 
 
-def assemble_diffusion(pattern: StiffnessPattern, conductivity: np.ndarray) -> sp.csc_matrix:
+def assemble_diffusion(pattern: StiffnessPattern, conductivity: np.ndarray) -> BandedBlock:
     """P1 diffusion stiffness on the pattern, element-constant conductivity."""
     return pattern.assemble(conductivity, "conductivity")
 
 
-def assemble_elasticity(pattern: StiffnessPattern, youngs: np.ndarray) -> sp.csc_matrix:
+def assemble_elasticity(pattern: StiffnessPattern, youngs: np.ndarray) -> BandedBlock:
     """Plane-stress stiffness on the pattern, element-constant Young's modulus."""
     return pattern.assemble(youngs, "youngs modulus")
 
@@ -298,9 +371,9 @@ class SystemSolution:
         return lam[:, 0] if single else lam
 
 
-def solve_forward(Kff: sp.csc_matrix, bc: BoundaryConditions, load: np.ndarray,
+def solve_forward(Kff: BandedBlock, bc: BoundaryConditions, load: np.ndarray,
                   observation: sp.spmatrix = None) -> SystemSolution:
-    """Direct sparse solve on the free-free block; clamped dofs stay zero.
+    """Banded Cholesky solve on the free-free block; clamped dofs stay zero.
 
     Kff is the operator restricted to bc.free (see StiffnessPattern).
     outputs = observation.T @ nodal_field when an observation operator is
@@ -311,19 +384,17 @@ def solve_forward(Kff: sp.csc_matrix, bc: BoundaryConditions, load: np.ndarray,
         raise ValueError(f"free-free block must be {(free.size, free.size)}, got {Kff.shape}")
     u = np.zeros(bc.ndof)
     rhs = np.asarray(load, dtype=float)[free]
-    try:
-        # the block is SPD: diagonal pivots after a symmetric ordering are
-        # stable and fill less than partial pivoting on an unsymmetric one
-        lu = spla.splu(Kff, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-                       options=dict(SymmetricMode=True))
-    except RuntimeError as exc:
-        raise SingularSystemError(_estimate_nullity(Kff)) from exc
-    # near-void phases legitimately spread pivots over ~12 decades, so the
+    cb, info = lapack.dpbtrf(Kff.ab)
+    if info != 0:
+        raise SingularSystemError(_estimate_nullity(Kff))
+    # the squared diagonal of U are the pivots of the symmetric elimination;
+    # near-void phases legitimately spread them over ~12 decades, so the
     # pivot screen is loose and the solve residual is the authoritative test
-    piv = np.abs(lu.U.diagonal())
+    piv = cb[-1] ** 2
     if piv.size and piv.min() <= 1e-15 * max(piv.max(), 1e-300):
         raise SingularSystemError(_estimate_nullity(Kff))
-    uf = lu.solve(rhs)
+    factor = BandedCholesky(cb, Kff.perm)
+    uf = factor.solve(rhs)
     if not np.all(np.isfinite(uf)):
         raise SingularSystemError(_estimate_nullity(Kff))
     u[free] = uf
@@ -337,7 +408,7 @@ def solve_forward(Kff: sp.csc_matrix, bc: BoundaryConditions, load: np.ndarray,
     if residual_rel > 1e-3:
         raise SingularSystemError(_estimate_nullity(Kff))
     outputs = observation.T @ u if observation is not None else u.copy()
-    return SystemSolution(u, np.asarray(outputs), lu.solve, free, residual_rel)
+    return SystemSolution(u, np.asarray(outputs), factor.solve, free, residual_rel)
 
 
 def _estimate_nullity(Kff, tol=1e-10):

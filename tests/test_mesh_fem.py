@@ -4,15 +4,17 @@ Analytic anchors:
 - hand-assembled P1 Laplacian of the split unit square
 - 1D diffusion profile u = L - x under unit end flux
 - rigid-body null space of the elasticity operator
-- brute-force dense scatter of every element matrix (fixed-pattern assembly)
-- dense LU of the free-free block (sparse solve)
+- brute-force dense scatter of every element matrix (banded assembly)
+- dense LU of the free-free block (banded Cholesky solve and adjoint)
 """
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from vbdesign.mesh_fem import (
+    BandedBlock,
     BoundaryConditions,
     SingularSystemError,
     StiffnessPattern,
@@ -198,7 +200,6 @@ class TestStiffnessPattern:
         for e in range(m.n_elements):
             dense[np.ix_(dofs[e], dofs[e])] += coef[e] * ke[e]
         Kff = StiffnessPattern.build(dofs, ke, bc.free).assemble(coef, "coef")
-        assert Kff.has_sorted_indices
         expected = dense[np.ix_(bc.free, bc.free)]
         assert np.max(np.abs(Kff.toarray() - expected)) <= 1e-14 * np.max(np.abs(expected))
 
@@ -206,6 +207,47 @@ class TestStiffnessPattern:
         m = build_regular_mesh(2, 2, 1.0, 1.0)
         with pytest.raises(ValueError, match="one value per element"):
             assemble_elasticity(elasticity_pattern(m), np.ones(m.n_elements + 1))
+
+    @pytest.mark.parametrize("ndof_per_node", [1, 2])
+    def test_unconstrained_block_matches_dense_scatter(self, rng, ndof_per_node):
+        m = build_regular_mesh(4, 6, 1.0, 1.5)
+        dofs = element_dofs(m, ndof_per_node)
+        ke = (unit_diffusion_element_matrices(m) if ndof_per_node == 1
+              else unit_elasticity_element_matrices(m, 0.3))
+        coef = np.exp(rng.standard_normal(m.n_elements))
+        ndof = ndof_per_node * m.n_nodes
+        dense = np.zeros((ndof, ndof))
+        for e in range(m.n_elements):
+            dense[np.ix_(dofs[e], dofs[e])] += coef[e] * ke[e]
+        K = StiffnessPattern.build(dofs, ke, np.arange(ndof)).assemble(coef, "coef")
+        scale = np.max(np.abs(dense))
+        assert np.max(np.abs(K.toarray() - dense)) <= 1e-14 * scale
+        x = rng.standard_normal(ndof)
+        assert np.max(np.abs(K @ x - dense @ x)) <= 1e-13 * scale * np.max(np.abs(x))
+
+    @pytest.mark.parametrize("grid, kd", [((26, 17), 37), ((52, 34), 73)])
+    def test_topology_half_bandwidth(self, grid, kd):
+        m = build_regular_mesh(*grid, 1.6, 1.0)
+        bc = BoundaryConditions.build(m, 2, ("left",))
+        pattern = elasticity_pattern(m, bc.free)
+        assert pattern.kd == kd
+        assert np.array_equal(np.sort(pattern.perm), np.arange(bc.free.size))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_nonfinite_youngs_modulus(self, bad):
+        m = build_regular_mesh(26, 17, 1.6, 1.0)
+        youngs = np.ones(m.n_elements)
+        youngs[100] = bad
+        with pytest.raises(ValueError, match="finite"):
+            assemble_elasticity(elasticity_pattern(m), youngs)
+
+    def test_nan_field_entry_is_rejected_before_the_solve(self):
+        p = make_topo_problem(nx=26, ny=17)
+        theta = p.field_prior.mean.copy()
+        theta[100] = np.nan
+        with pytest.raises(ValueError, match="finite"):
+            p.evaluate(theta, np.zeros(p.d_z))
+        assert p.forward_calls == 0
 
 
 class TestSolveForward:
@@ -235,6 +277,34 @@ class TestSolveForward:
         err = np.max(np.abs(sol.nodal_field[bc.free] - expected))
         assert err <= 1e-10 * np.max(np.abs(expected))
 
+    def test_multi_column_adjoint_matches_dense_solve(self, rng):
+        m = build_regular_mesh(7, 5, 1.6, 1.0)
+        bc = BoundaryConditions.build(m, 2, ("left",), point_loads=[(m.n_nodes - 1, 1, -1e-3)])
+        K = assemble_elasticity(elasticity_pattern(m, bc.free),
+                                np.exp(rng.standard_normal(m.n_elements)))
+        sol = solve_forward(K, bc, bc.load_vector())
+        rhs = rng.standard_normal((bc.ndof, 5))
+        lam = sol.adjoint(rhs)
+        expected = np.linalg.solve(K.toarray(), rhs[bc.free])
+        assert np.max(np.abs(lam[bc.free] - expected)) <= 1e-10 * np.max(np.abs(expected))
+        clamped = np.setdiff1d(np.arange(bc.ndof), bc.free)
+        assert np.all(lam[clamped] == 0.0)
+        assert np.array_equal(sol.adjoint(rhs[:, 2]), lam[:, 2])
+
+    def test_symmetric_indefinite_block_raises(self):
+        # nonsingular, so an LU would solve it; the Cholesky path must refuse
+        m = build_regular_mesh(4, 3, 1.0, 1.0)
+        bc = BoundaryConditions.build(m, 1, ("right",))
+        K = assemble_diffusion(diffusion_pattern(m, bc.free), np.ones(m.n_elements))
+        ab = K.ab.copy()
+        ab[-1] -= np.mean(np.linalg.eigvalsh(K.toarray()))
+        indefinite = BandedBlock(ab, K.perm)
+        eig = np.linalg.eigvalsh(indefinite.toarray())
+        assert eig.min() < 0.0 < eig.max() and np.min(np.abs(eig)) > 1e-3
+        load = edge_mass_loads(m, "left", {n: 1.0 for n in boundary_nodes(m, "left")})
+        with pytest.raises(SingularSystemError):
+            solve_forward(indefinite, bc, load)
+
     def test_rejects_block_of_wrong_shape(self):
         m = build_regular_mesh(3, 3, 1.0, 1.0)
         bc = BoundaryConditions.build(m, 1, ("right",))
@@ -263,7 +333,7 @@ class TestSolveForward:
         K = assemble_elasticity(p.pattern, p.youngs_field(
             p.field_prior.mean, np.zeros(p.d_z)))
         sol = solve_forward(K, p.bc, p.load, observation=p.L_obs)
-        assert sol.K_factorization.__self__.nnz < spla.splu(K).nnz
+        assert sol.K_factorization.__self__.nnz < spla.splu(sp.csc_matrix(K.toarray())).nnz
 
     def test_heat_problem_positive_outputs(self):
         p = make_heat_problem(nx=10, ny=5, obs_x2=np.linspace(0.25, 0.75, 5))
