@@ -271,6 +271,9 @@ def run(cfg: RunConfig, stage: str = "all", outdir=None) -> RunArtifacts:
         "validate_forward_calls": validate_calls,
         "total_forward_calls": total,
         "map_converged": mres.converged,
+        **({} if mres.phi_mean is None else {
+            "map_phi_estimates": mres.phi_estimates,
+            "map_gibbs_sweeps": mres.phi_estimates * cfg.topo_prior_sweeps}),
         **({} if art.vbem is None else {"vbem_iterations": art.vbem.iterations,
                                        "vbem_converged": art.vbem.converged}),
         **{f"time_{k}": f"{v:.3f}" for k, v in timings.items()},

@@ -91,6 +91,7 @@ class MapResult:
     # a damping halving or a mixed trial that failed the merit test
     iterations: int = 0
     rejected_trials: int = 0
+    phi_estimates: int = 0      # topo_prior.estimate_phi_mean calls
 
 
 def gn_step(iterate: MapIterate, prior: PriorConfig, tau_Q: float,
@@ -178,10 +179,14 @@ def optimize_map(model, prior: PriorConfig, options: MapOptions = None,
     chain = topo_prior.new_state(topo_prior.build_neighbor_graph(model.mesh),
                                  m=opts.prior_m, s2=opts.prior_s2) if constrained else None
 
+    phi_estimates = 0
+
     def phi_estimate(mz):
         # fresh chain (spins from sign(mz), beta = 0) and fixed stream each
         # call: <phi> is a deterministic function of mu_z, so late-iteration
         # steps are noise-free
+        nonlocal phi_estimates
+        phi_estimates += 1
         rng = np.random.default_rng(opts.gibbs_seed)
         st = replace(chain, phi=topo_prior.data_side_spins(mz))
         return topo_prior.estimate_phi_mean(
@@ -340,7 +345,8 @@ def optimize_map(model, prior: PriorConfig, options: MapOptions = None,
     return MapResult(mu_theta, mu_z, trace, model.forward_calls, converged,
                      stalled, grad_norm, F_cur, phi_mean,
                      residual=model.u_target - u, G_theta=Gt, G_z=Gz,
-                     iterations=len(trace) - 1, rejected_trials=rejected_total)
+                     iterations=len(trace) - 1, rejected_trials=rejected_total,
+                     phi_estimates=phi_estimates)
 
 
 def _anderson_point(history):

@@ -23,21 +23,36 @@ schedule is built once per state by `sweep_levels`, and a chain restarted
 on the same graph can reuse it; the mesh graph has 34 levels on a 26x17
 grid and 68 on 52x34.
 
-`estimate_phi_mean` sweeps only the sites that can still flip, and keeps
-the chain bit for bit. Site j flips when log u_j < -2 phi_j (drive_j -
-beta s_j), with s_j the sum over the deg_j entries of its neighbor row.
-`Generator.random()` returns multiples of 2^-53, so log u >= -53 log 2 =
--36.737 unless u = 0; beta stays in BETA_BOUNDS, so |beta s_j| <= 2 deg_j.
-A site aligned with its drive (phi_j drive_j > 0) therefore never flips
-once 2 (|drive_j| - 2 deg_j) > 36.737 (plus a small margin), and an
-anti-aligned one always does. The drive is fixed for the whole call, and
-so is this frozen set. The chain runs full sweeps until every frozen site
-is aligned (one sweep when they start anti-aligned), then sweeps the other
-sites, the candidates, on the levels of the graph they induce. It still
-draws the full stream of uniforms, takes the logs of the candidates' draws
-only, and falls back to a full sweep for a round with a zero draw. The
-neighbor sums of the beta move are integer-valued, so refreshing only the
-rows that list a candidate gives the same sums.
+`estimate_phi_mean` sweeps and scores only the sites that can still flip,
+and keeps the chain bit for bit. Site j flips when log u_j < -2 phi_j
+(drive_j - beta s_j), with s_j the sum over the deg_j entries of its
+neighbor row. `Generator.random()` returns multiples of 2^-53, so log u >=
+-53 log 2 = -36.737 unless u = 0; beta stays in BETA_BOUNDS (checked on
+entry), so |beta s_j| <= 2 deg_j. A site aligned with its drive (phi_j
+drive_j > 0) therefore never flips once 2 (|drive_j| - 2 deg_j) > 36.737
+(plus a small margin), and an anti-aligned one always does. The drive is
+fixed for the whole call, and so is this frozen set; the other sites are
+the candidates.
+
+For one call the spins live in level order: the candidates level by level
+on the graph they induce, so that each level is a slice, then the frozen
+sites, then the zero that padded entries read; the neighbor rows are
+renumbered once. The chain runs full raster-order sweeps until every
+frozen site is aligned (one sweep when they start anti-aligned), and after
+that sweeps the candidate slices only. It still draws the full stream of
+uniforms, takes the logs of the candidates' draws only, and falls back to
+a full sweep for a round with a zero draw. Neighbor sums are small
+integers, so their order does not matter.
+
+The beta move scores the candidate rows only, for both betas in one (2, .)
+pass, and scatters the terms into a zero-filled (2, d) array whose row sums
+are the pseudo-likelihoods. An aligned frozen site's term is exactly +0.0:
+|a| >= |drive| - 2 deg > 18.37 and log1p(exp(-2|a|)) < 1.2e-16 is below half
+an ulp of |a|, so logaddexp(a, -a) rounds to |a| = phi a. numpy's pairwise
+sum thus adds the same d numbers in the same order as a full-length call.
+While a frozen site is anti-aligned, the move scores all d rows. With no
+candidates both pseudo-likelihoods are 0.0, and since log u < 0 the move
+accepts every proposal inside the box without scoring anything.
 """
 
 from __future__ import annotations
@@ -97,14 +112,20 @@ def build_neighbor_graph(mesh: Mesh) -> np.ndarray:
 def new_state(neighbors: np.ndarray, mu_z=None, m: float = MODE_LOCATION,
               s2: float = MODE_VARIANCE, beta: float = 0.0) -> TopoPriorState:
     """Spins start on the data side of each mode (positive side on ties)."""
-    if not BETA_BOUNDS[0] <= beta <= BETA_BOUNDS[1]:
-        raise ValueError(f"beta {beta} outside {BETA_BOUNDS}")
+    _check_beta(beta)
     d = neighbors.shape[0]
     phi = np.ones(d, dtype=np.int8) if mu_z is None else data_side_spins(mu_z)
     padded = np.where(neighbors >= 0, neighbors, d)
-    levels = level_schedule(neighbors, padded, np.arange(d))
+    order, ends = level_order(neighbors)
+    levels = [(order[lo:hi], padded[order[lo:hi]]) for lo, hi in zip([0] + ends, ends)]
     return TopoPriorState(phi, float(beta), float(m), float(s2), neighbors,
                           np.zeros(d), padded, levels)
+
+
+def _check_beta(beta: float) -> None:
+    # NaN fails both comparisons
+    if not BETA_BOUNDS[0] <= beta <= BETA_BOUNDS[1]:
+        raise ValueError(f"beta {beta} outside {BETA_BOUNDS}")
 
 
 def data_side_spins(mu_z) -> np.ndarray:
@@ -135,16 +156,10 @@ def sweep_levels(neighbors: np.ndarray) -> np.ndarray:
         np.maximum.at(level, hi[late], cand[late])
 
 
-def level_schedule(table: np.ndarray, padded: np.ndarray, sites: np.ndarray) -> list:
-    """Sweep schedule of the ascending `sites`: (sites, padded rows) per level.
-
-    Row i of `table` is the neighbor row of sites[i], its entries renumbered
-    to positions in `sites` (-1 for entries outside them).
-    """
+def level_order(table: np.ndarray) -> tuple:
+    """Rows of `table` in sweep order, level by level, and the end of each level."""
     level = sweep_levels(table)
-    order = sites[np.argsort(level, kind="stable")]
-    ends = np.cumsum(np.bincount(level)).tolist()
-    return [(order[lo:hi], padded[order[lo:hi]]) for lo, hi in zip([0] + ends, ends)]
+    return np.argsort(level, kind="stable"), np.cumsum(np.bincount(level)).tolist()
 
 
 def sweep_spins(spins: np.ndarray, levels: list, drive: np.ndarray, beta: float,
@@ -161,18 +176,30 @@ def sweep_spins(spins: np.ndarray, levels: list, drive: np.ndarray, beta: float,
         spins[flip] = -spins[flip]
 
 
-def _pseudo_loglik(phi, drive, beta, nbr_sums):
-    a = drive - beta * nbr_sums
-    return float(np.sum(phi * a - np.logaddexp(a, -a)))
+def _beta_move(state: TopoPriorState, phi, drive, sums, rng, terms=None,
+               rows=slice(None)) -> None:
+    """Random-walk move on beta under the Besag pseudo-likelihood.
 
-
-def _beta_move(state: TopoPriorState, phi, drive, sums, rng) -> None:
+    `phi`, `drive` and `sums` are the scored rows. They fill columns `rows`
+    of the (2, d) `terms`, whose other entries must be 0.0; without `terms`
+    they are all d rows. Each pseudo-likelihood is a row sum of `terms`, so
+    it equals the full-length sum whenever the rows left out score exactly
+    0.0. With no rows both are 0.0, and log u < 0 accepts every proposal
+    inside the box.
+    """
     prop = state.beta + BETA_STEP * rng.standard_normal()
-    log_a = np.log(rng.random())
-    if BETA_BOUNDS[0] <= prop <= BETA_BOUNDS[1]:
-        if log_a < (_pseudo_loglik(phi, drive, prop, sums)
-                    - _pseudo_loglik(phi, drive, state.beta, sums)):
-            state.beta = float(prop)
+    u = rng.random()
+    if not BETA_BOUNDS[0] <= prop <= BETA_BOUNDS[1]:
+        return
+    if len(phi):
+        if terms is None:
+            terms = np.empty((2, len(phi)))
+        a = drive - np.array([[prop], [state.beta]]) * sums
+        terms[:, rows] = phi * a - np.logaddexp(a, -a)
+        new, old = terms.sum(axis=1)
+        if not np.log(u) < new - old:
+            return
+    state.beta = float(prop)
 
 
 def gibbs_sweep(state: TopoPriorState, mu_z: np.ndarray, rng: np.random.Generator,
@@ -184,6 +211,7 @@ def gibbs_sweep(state: TopoPriorState, mu_z: np.ndarray, rng: np.random.Generato
     (the exact conditional would need the spin partition function, which is
     out of reach); proposals outside the prior box are rejected.
     """
+    _check_beta(state.beta)
     d = state.phi.shape[0]
     drive = (state.m / state.s2) * np.asarray(mu_z, dtype=float)
     log_u = np.log(rng.random(d))
@@ -202,51 +230,61 @@ def estimate_phi_mean(state: TopoPriorState, mu_z: np.ndarray, sweeps: int,
     """Post-burn-in empirical spin mean, also stored on the state.
 
     The same chain as `sweeps` calls of `gibbs_sweep`, bit for bit, sweeping
-    only the sites that can flip (module docstring).
+    and scoring only the sites that can flip (module docstring).
     """
     if not 0 <= burn_in < sweeps:
         raise ValueError("need 0 <= burn_in < sweeps")
+    _check_beta(state.beta)
     d = state.phi.shape[0]
     drive = (state.m / state.s2) * np.asarray(mu_z, dtype=float)
     deg = np.count_nonzero(state.neighbors >= 0, axis=1)
     frozen = 2.0 * (np.abs(drive) - _BETA_MAX * deg) > _FROZEN_EDGE
-    fixed = np.flatnonzero(frozen)
-    if fixed.size:
-        cand = np.flatnonzero(~frozen)
-        local = np.full(d + 1, -1)
-        local[cand] = np.arange(cand.size)
-        levels = level_schedule(local[state.padded[cand]], state.padded, cand)
-        # rows whose neighbor sum can change while the frozen sites hold still
-        touch = np.flatnonzero((~np.append(frozen, True))[state.padded].any(axis=1))
-    else:
-        cand = touch = slice(None)
-        levels = state.levels
-    touch_rows = state.padded[touch]
 
-    spins = np.zeros(d + 1)
-    spins[:d] = state.phi
-    sums = spins[state.padded].sum(axis=1)
-    log_u = np.empty(d)
-    settled = bool(np.all(spins[fixed] * drive[fixed] > 0.0))
+    # level-ordered storage: the candidates level by level, then the frozen
+    # sites, then the zero the padded entries read; pos maps site -> slot
+    cand = np.flatnonzero(~frozen)
+    nc = cand.size
+    local = np.full(d + 1, -1)
+    local[cand] = np.arange(nc)
+    corder, ends = level_order(local[state.padded[cand]])
+    order = np.concatenate([cand[corder], np.flatnonzero(frozen)])
+    cand = order[:nc]
+    pos = np.append(np.argsort(order), d)
+    cols = pos[state.padded[cand]].T.copy()   # (width, nc) neighbor slots
+    x = np.append(state.phi[order].astype(float), 0.0)
+    drv = drive[order]
+    log_u = np.empty(nc)
+    levels = [(x[lo:hi], drv[lo:hi], cols[:, lo:hi], log_u[lo:hi])
+              for lo, hi in zip([0] + ends, ends)]
+
+    spins = np.zeros(d + 1)         # raster storage for the full sweeps
+    full_log_u = np.empty(d)
+    terms = np.zeros((2, d))        # pseudo-likelihood terms, candidate columns only
+    settled = bool(np.all(x[nc:d] * drv[nc:d] > 0.0))
     acc = np.zeros(d)
     for t in range(sweeps):
         u = rng.random(d)
         if settled and u.all():
-            log_u[cand] = np.log(u[cand])
-            sweep_spins(spins, levels, drive, state.beta, log_u)
-            sums[touch] = spins[touch_rows].sum(axis=1)
+            np.log(u[cand], out=log_u)
+            for seg, dr, nb, lu in levels:
+                a = dr - state.beta * np.add.reduce(x[nb])
+                np.negative(seg, out=seg, where=lu < -2.0 * seg * a)
         else:
+            spins[order] = x[:d]
             with np.errstate(divide="ignore"):
-                np.log(u, out=log_u)
-            sweep_spins(spins, state.levels, drive, state.beta, log_u)
-            settled = bool(np.all(spins[fixed] * drive[fixed] > 0.0))
-            sums = spins[state.padded].sum(axis=1)
-        if update_beta:
-            _beta_move(state, spins[:d], drive, sums, rng)
+                np.log(u, out=full_log_u)
+            sweep_spins(spins, state.levels, drive, state.beta, full_log_u)
+            x[:d] = spins[order]
+            settled = bool(np.all(x[nc:d] * drv[nc:d] > 0.0))
+        if update_beta and settled:
+            _beta_move(state, x[:nc], drv[:nc], np.add.reduce(x[cols]), rng, terms, cand)
+        elif update_beta:   # a full sweep left a frozen site anti-aligned
+            _beta_move(state, spins[:d], drive, spins[state.padded].sum(axis=1), rng)
         if t >= burn_in:
-            acc += spins[:d]
-    state.phi[:] = spins[:d]
-    state.phi_mean = acc / (sweeps - burn_in)
+            acc += x[:d]
+    state.phi[order] = x[:d]
+    state.phi_mean = np.empty(d)
+    state.phi_mean[order] = acc / (sweeps - burn_in)
     return state.phi_mean.copy()
 
 

@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from vbdesign import cli, vb
+from vbdesign import cli, topo_prior, vb
 from vbdesign.cli import ConfigError, build_problem, parse_config, run
 
 from conftest import prior_covariance
@@ -188,6 +188,24 @@ class TestRunPipeline:
         art = run(cfg, stage="vbem", outdir=tmp_path)
         prior_tau_z0 = (1.0 / cfg.vb_tau_y0_inv) * cfg.vb_eps2
         assert art.vbem.state.tau_z == pytest.approx(prior_tau_z0)
+
+    def test_manifest_counts_spin_chain(self, heat_run, tmp_path, monkeypatch):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args[2])
+            return estimate(*args, **kwargs)
+        estimate = topo_prior.estimate_phi_mean
+        monkeypatch.setattr(topo_prior, "estimate_phi_mean", counted)
+        art = run(parse_config(SMALL_TOPO), stage="map", outdir=tmp_path)
+        man = dict(line.split(" = ") for line in
+                   (tmp_path / "manifest.txt").read_text().splitlines())
+        assert len(calls) > 0 and set(calls) == {150}
+        assert art.map_result.phi_estimates == len(calls)
+        assert int(man["map_phi_estimates"]) == len(calls)
+        assert int(man["map_gibbs_sweeps"]) == 150 * len(calls)
+        heat_man = (heat_run[0] / "manifest.txt").read_text()
+        assert "map_phi_estimates" not in heat_man and "map_gibbs_sweeps" not in heat_man
 
     def test_topo_pipeline(self, tmp_path):
         cfg = parse_config(SMALL_TOPO)

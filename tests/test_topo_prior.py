@@ -1,6 +1,7 @@
 """Spin hyperprior: neighbor graph, sweep kernel, estimates, stationarity."""
 
 import itertools
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -39,11 +40,12 @@ def raster_sweep(phi, neighbors, drive, beta, log_u):
 
 
 def raster_phi_mean(neighbors, mu_z, sweeps, burn_in, rng, m=MODE_LOCATION, s2=1.0,
-                    phi=None, beta=0.0, flips=None):
+                    phi=None, beta=0.0, flips=None, proposals=None):
     """Reference estimate_phi_mean on the raster kernel, drawing the same stream.
 
     Spins start from `phi` (default: the data side of mu_z); `flips`, when
-    given, counts each site's flips.
+    given, counts each site's flips, and `proposals` collects the beta
+    proposals.
     """
     phi = np.where(mu_z >= 0.0, 1, -1).astype(np.int8) if phi is None else phi.copy()
     drive = (m / s2) * mu_z
@@ -57,6 +59,8 @@ def raster_phi_mean(neighbors, mu_z, sweeps, burn_in, rng, m=MODE_LOCATION, s2=1
             flips += before != phi
         prop = beta + BETA_STEP * rng.standard_normal()
         log_a = np.log(rng.random())
+        if proposals is not None:
+            proposals.append(prop)
         if BETA_BOUNDS[0] <= prop <= BETA_BOUNDS[1]:
             sums = np.where(neighbors >= 0, phi[neighbors], 0).astype(float).sum(axis=1)
             f = phi.astype(float)
@@ -224,11 +228,14 @@ class TestGibbsSweep:
         nb = build_neighbor_graph(build_regular_mesh(nx, ny, 1.6, 1.0))
         mu = 0.3 * np.random.default_rng(5).standard_normal(len(nb))
         st = new_state(nb, mu)
-        pm = estimate_phi_mean(st, mu, 500, 100, np.random.default_rng(777))
-        pm_r, phi_r, beta_r = raster_phi_mean(nb, mu, 500, 100, np.random.default_rng(777))
+        rng = np.random.default_rng(777)
+        pm = estimate_phi_mean(st, mu, 500, 100, rng)
+        rng_r = np.random.default_rng(777)
+        pm_r, phi_r, beta_r = raster_phi_mean(nb, mu, 500, 100, rng_r)
         assert np.array_equal(pm, pm_r)
         assert np.array_equal(st.phi, phi_r)
         assert st.beta == beta_r
+        assert rng.bit_generator.state == rng_r.bit_generator.state
 
     @pytest.mark.parametrize("table,beta", [("mesh", -1.9), ("mesh", 1.9), ("awkward", 1.9)])
     def test_active_sweep_matches_raster_replay(self, table, beta):
@@ -249,20 +256,73 @@ class TestGibbsSweep:
 
         st = new_state(nb, mu, beta=beta)
         st.phi[:] = phi
-        pm = estimate_phi_mean(st, mu, 500, 100,
-                               PlantedUniforms(np.random.default_rng(9), d, edge, zeros))
+        stream = PlantedUniforms(np.random.default_rng(9), d, edge, zeros)
+        pm = estimate_phi_mean(st, mu, 500, 100, stream)
         flips = np.zeros(d, dtype=int)
-        pm_r, phi_r, beta_r = raster_phi_mean(
-            nb, mu, 500, 100, PlantedUniforms(np.random.default_rng(9), d, edge, zeros),
-            phi=phi, beta=beta, flips=flips)
+        stream_r = PlantedUniforms(np.random.default_rng(9), d, edge, zeros)
+        pm_r, phi_r, beta_r = raster_phi_mean(nb, mu, 500, 100, stream_r,
+                                              phi=phi, beta=beta, flips=flips)
         assert np.array_equal(pm, pm_r)
         assert np.array_equal(st.phi, phi_r)
         assert st.beta == beta_r
+        assert stream.rng.bit_generator.state == stream_r.rng.bit_generator.state
         # the replay reaches the edge from inside, never from outside
         gap = np.abs(drive[edge]) - FLIP_EDGE
         assert flips[edge[np.isclose(gap, -0.02)]].sum() > 0
         assert flips[edge[gap > 0.0]].sum() == 0
         assert flips[strong].sum() >= 10 + 2 * len(zeros)
+
+    def test_all_frozen_matches_raster_replay(self):
+        # no candidates: nothing is swept or scored, and from beta = 1.95
+        # some proposals leave the box and are rejected
+        nb = build_neighbor_graph(build_regular_mesh(26, 17, 1.6, 1.0))
+        d = len(nb)
+        gen = np.random.default_rng(3)
+        mu = gen.choice([-1.0, 1.0], d) * gen.uniform(FLIP_EDGE + 0.1, 60.0, d) / MODE_LOCATION
+        st = new_state(nb, mu, beta=1.95)
+        rng = np.random.default_rng(12)
+        pm = estimate_phi_mean(st, mu, 500, 100, rng)
+        flips = np.zeros(d, dtype=int)
+        proposals = []
+        rng_r = np.random.default_rng(12)
+        pm_r, phi_r, beta_r = raster_phi_mean(nb, mu, 500, 100, rng_r, beta=1.95,
+                                              flips=flips, proposals=proposals)
+        assert np.array_equal(pm, pm_r)
+        assert np.array_equal(st.phi, phi_r)
+        assert st.beta == beta_r
+        assert rng.bit_generator.state == rng_r.bit_generator.state
+        assert flips.sum() == 0
+        assert max(proposals) > BETA_BOUNDS[1]
+
+    def test_isolated_candidates_match_raster_replay(self):
+        # weak sites whose neighbors are all frozen: their rows list no
+        # candidate, yet they flip and their beta terms count
+        nb = build_neighbor_graph(build_regular_mesh(26, 17, 1.6, 1.0))
+        d = len(nb)
+        gen = np.random.default_rng(4)
+        drive = gen.choice([-1.0, 1.0], d) * gen.uniform(30.0, 60.0, d)
+        busy = np.zeros(d, dtype=bool)
+        weak = []
+        for j in gen.permutation(d)[:200]:
+            row = nb[j][nb[j] >= 0]
+            if not busy[j] and not busy[row].any():
+                busy[j] = busy[row] = True
+                weak.append(j)
+        drive[weak] = gen.uniform(-1.0, 1.0, len(weak))
+        mu = drive / MODE_LOCATION
+        st = new_state(nb, mu, beta=-1.0)
+        rng = np.random.default_rng(13)
+        pm = estimate_phi_mean(st, mu, 500, 100, rng)
+        flips = np.zeros(d, dtype=int)
+        rng_r = np.random.default_rng(13)
+        pm_r, phi_r, beta_r = raster_phi_mean(nb, mu, 500, 100, rng_r, beta=-1.0,
+                                              flips=flips)
+        assert np.array_equal(pm, pm_r)
+        assert np.array_equal(st.phi, phi_r)
+        assert st.beta == beta_r
+        assert rng.bit_generator.state == rng_r.bit_generator.state
+        assert len(weak) >= 20 and flips[weak].min() > 0
+        assert flips.sum() == flips[weak].sum()
 
     def test_spins_stay_binary(self, rng):
         mesh = build_regular_mesh(6, 4, 1.0, 1.0)
@@ -371,6 +431,18 @@ class TestEstimatePhiMean:
         with pytest.raises(ValueError):
             new_state(nb, beta=beta)
         new_state(nb, beta=BETA_BOUNDS[0])
+
+    @pytest.mark.parametrize("beta", [10.0, -2.01, np.inf, np.nan])
+    def test_chain_rejects_beta_outside_bounds(self, beta):
+        # a state whose beta left the box through replace() is refused, not
+        # run on the frozen-set shortcut that assumes |beta| <= 2
+        mesh = build_regular_mesh(8, 5, 1.0, 1.0)
+        mu = np.full(mesh.n_elements, 25.0 / MODE_LOCATION)
+        st = replace(new_state(build_neighbor_graph(mesh), mu), beta=beta)
+        with pytest.raises(ValueError):
+            estimate_phi_mean(st, mu, 50, 10, np.random.default_rng(0), update_beta=False)
+        with pytest.raises(ValueError):
+            gibbs_sweep(st, mu, np.random.default_rng(0), update_beta=False)
 
     def test_phi_mean_in_range(self, rng):
         mesh = build_regular_mesh(5, 3, 1.0, 1.0)
