@@ -89,6 +89,48 @@ _KEYS = {
 }
 
 
+def _at_least(lo):
+    return (lambda v: v >= lo), f"at least {lo}"
+
+
+_POSITIVE = (lambda v: 0.0 < v < np.inf), "positive and finite"
+_FINITE = (lambda v: bool(np.isfinite(v))), "finite"
+_FRACTION = (lambda v: 0.0 < v < 1.0), "strictly inside (0, 1)"
+
+# admissible values per key; vb.d_y <= d_z needs the model and is checked by run
+_RANGES = {
+    "mesh.nx": _at_least(1),
+    "mesh.ny": _at_least(1),
+    "field.sigma_g2": _POSITIVE,
+    "field.x0": _POSITIVE,
+    "field.mu_theta0": _FINITE,
+    "utility.tau_Q_inv": _POSITIVE,
+    "constraint.VF": _FRACTION,
+    "constraint.eps_c2": _POSITIVE,
+    "vb.d_y": _at_least(1),
+    "vb.tau_y0_inv": _POSITIVE,
+    "vb.eps2": _POSITIVE,
+    "map.tol": _POSITIVE,
+    "map.max_iter": _at_least(1),
+    "map.c_z0": _POSITIVE,
+    "map.gibbs_seed": _at_least(0),
+    "topo_prior.m": _FINITE,
+    "topo_prior.s2": _POSITIVE,
+    "validate.M": _at_least(2),
+    "sample.levels": ((lambda v: all(0.0 < x < 1.0 for x in v)),
+                      "a list of levels strictly inside (0, 1)"),
+    "sample.count": _at_least(1),
+    "seed": _at_least(0),
+}
+
+
+def _check_ranges(cfg: RunConfig):
+    for key, (ok, what) in _RANGES.items():
+        v = getattr(cfg, _KEYS[key][0])
+        if v is not None and not ok(v):
+            raise ConfigError(f"{key} must be {what}, got {v!r}")
+
+
 def parse_config(text: str) -> RunConfig:
     cfg = RunConfig()
     for lineno, raw in enumerate(text.splitlines(), 1):
@@ -116,6 +158,7 @@ def parse_config(text: str) -> RunConfig:
     if not 0 <= cfg.topo_prior_burn_in < cfg.topo_prior_sweeps:
         raise ConfigError(f"need 0 <= topo_prior.burn_in < topo_prior.sweeps, got "
                           f"{cfg.topo_prior_burn_in} and {cfg.topo_prior_sweeps}")
+    _check_ranges(cfg)
     return cfg
 
 
@@ -145,14 +188,14 @@ def _write_csv(path, header, rows):
 
 def build_problem(cfg: RunConfig):
     if cfg.problem == "heat_flux":
-        nx = cfg.mesh_nx or 40
-        ny = cfg.mesh_ny or 20
+        nx = 40 if cfg.mesh_nx is None else cfg.mesh_nx
+        ny = 20 if cfg.mesh_ny is None else cfg.mesh_ny
         tqi = cfg.utility_tau_Q_inv if cfg.utility_tau_Q_inv is not None else 0.01
         return make_heat_problem(nx=nx, ny=ny, sigma_g2=cfg.field_sigma_g2,
                                  x0=cfg.field_x0, mu_theta0=cfg.field_mu_theta0,
                                  tau_Q_inv=tqi)
-    nx = cfg.mesh_nx or 52
-    ny = cfg.mesh_ny or 34
+    nx = 52 if cfg.mesh_nx is None else cfg.mesh_nx
+    ny = 34 if cfg.mesh_ny is None else cfg.mesh_ny
     tqi = cfg.utility_tau_Q_inv if cfg.utility_tau_Q_inv is not None else 5e-6
     return make_topo_problem(nx=nx, ny=ny, sigma_g2=cfg.field_sigma_g2,
                              x0=cfg.field_x0, mu_theta0=cfg.field_mu_theta0,
@@ -175,6 +218,11 @@ def run(cfg: RunConfig, stage: str = "all", outdir=None) -> RunArtifacts:
     if stage not in depth:
         raise ConfigError(f"unknown stage {stage!r}")
     level = depth[stage]
+    t0 = time.perf_counter()
+    model = build_problem(cfg)
+    if cfg.vb_d_y > model.d_z:
+        raise ConfigError(f"vb.d_y must be at most the design dimension d_z = "
+                          f"{model.d_z}, got {cfg.vb_d_y}")
     out = Path(outdir if outdir is not None else cfg.out)
     out.mkdir(parents=True, exist_ok=True)
     art = RunArtifacts()
@@ -185,8 +233,6 @@ def run(cfg: RunConfig, stage: str = "all", outdir=None) -> RunArtifacts:
     rng_val = np.random.default_rng(seeds[1])
     rng_designs = np.random.default_rng(seeds[2])
 
-    t0 = time.perf_counter()
-    model = build_problem(cfg)
     prior = vb.PriorConfig(tau_y0=1.0 / cfg.vb_tau_y0_inv, eps2=cfg.vb_eps2,
                            field_prior=model.field_prior)
     export_mesh(model.mesh, out / "mesh.txt")
@@ -311,12 +357,16 @@ def main(argv=None) -> int:
         cfg = parse_config(text)
         if args.seed is not None:
             cfg.seed = args.seed
+            _check_ranges(cfg)
     except (OSError, ConfigError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
 
     try:
         run(cfg, stage=args.stage, outdir=args.out)
+    except ConfigError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return 2
     except validation.WeightUnderflowError as exc:
         print(f"validation failure: {exc}", file=sys.stderr)
         return 4

@@ -36,10 +36,6 @@ class FieldPrior:
     def mean(self) -> np.ndarray:
         return np.full(self.d, self.mu_theta0)
 
-    def solve(self, rhs: np.ndarray) -> np.ndarray:
-        """C_theta0^{-1} rhs via the stored factor."""
-        return sla.cho_solve((self.chol, True), rhs)
-
     def logdet(self) -> float:
         return 2.0 * np.sum(np.log(np.diag(self.chol)))
 

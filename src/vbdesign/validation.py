@@ -48,55 +48,36 @@ class ValidationReport:
         return out
 
 
-def _sample_joint(state: VariationalState, count, rng):
-    """(eta_theta, y) draws with the state's joint covariance."""
-    if state.lowrank is not None:
-        lr = state.lowrank
-        d_theta = lr.B_th.shape[0]
-        d_y = state.d_y
-        n = lr.A.shape[0]
-        # L xi as U^T xi on the factor's Fortran-order view U = L^T
-        xt = dtrmm(1.0, lr.prior.chol.T, rng.standard_normal((d_theta, count)),
-                   trans_a=1).T
-        xy = sla.solve_triangular(lr.Py_cho[0].T, rng.standard_normal((d_y, count)),
-                                  lower=False).T
-        e = rng.standard_normal((count, n)) / np.sqrt(lr.tau_Q)
-        resid = xt @ lr.G_theta.T + xy @ lr.A.T + e
-        corr = sla.cho_solve(lr.S_cho, resid.T).T
-        return xt - corr @ lr.B_th.T, xy - corr @ lr.B_y.T
-    L = np.linalg.cholesky(state.joint_cov())
-    d_theta = state.d_theta
-    x = (L @ rng.standard_normal((L.shape[0], count))).T
-    return x[:, :d_theta], x[:, d_theta:]
+def _draw_q(state: VariationalState, params: ModelParams, count, rng):
+    """count draws (eta_theta, y, eta_z) from q, in that stream order;
+    eta_z lives in the complement of W."""
+    lr = state.lowrank
+    n = lr.A.shape[0]
+    # L xi as U^T xi on the factor's Fortran-order view U = L^T
+    xt = dtrmm(1.0, lr.prior.chol.T, rng.standard_normal((state.d_theta, count)),
+               trans_a=1).T
+    xy = sla.solve_triangular(lr.Py_cho[0].T, rng.standard_normal((state.d_y, count)),
+                              lower=False).T
+    e = rng.standard_normal((count, n)) / np.sqrt(lr.tau_Q)
+    resid = xt @ lr.G_theta.T + xy @ lr.A.T + e
+    corr = sla.cho_solve(lr.S_cho, resid.T).T
+    xi = rng.standard_normal((count, params.d_z))
+    eta_z = (xi - (xi @ params.W) @ params.W.T) / np.sqrt(state.tau_z)
+    return xt - corr @ lr.B_th.T, xy - corr @ lr.B_y.T, eta_z
 
 
 def _log_q_joint(state: VariationalState, eta_theta, y, white):
     """log q(eta_theta, y) given white = L^-1 eta_theta^T for the field
-    prior's factor L; the low-rank form reads its prior term from white."""
+    prior's factor L, which gives the prior term of the precision."""
+    lr = state.lowrank
     d = eta_theta.shape[1] + y.shape[1]
-    logdet = state.logdet_joint_cov()
-    if state.lowrank is not None:
-        lr = state.lowrank
-        quad = np.sum(white**2, axis=0)
-        # cho_factor leaves the input matrix in the unused upper triangle
-        Ly = np.tril(lr.Py_cho[0])
-        quad += np.sum((Ly.T @ y.T) ** 2, axis=0)
-        lin = eta_theta @ lr.G_theta.T + y @ lr.A.T
-        quad += lr.tau_Q * np.sum(lin**2, axis=1)
-    else:
-        L = np.linalg.cholesky(state.joint_cov())
-        x = np.hstack([eta_theta, y])
-        half = sla.solve_triangular(L, x.T, lower=True)
-        quad = np.sum(half**2, axis=0)
-    return -0.5 * quad - 0.5 * d * LOG_2PI - 0.5 * logdet
-
-
-def sample_q(state: VariationalState, params: ModelParams, rng: np.random.Generator):
-    """One draw (eta_theta, y, eta_z); eta_z lives in the complement of W."""
-    eta_theta, y = _sample_joint(state, 1, rng)
-    xi = rng.standard_normal(params.d_z)
-    eta_z = (xi - params.W @ (params.W.T @ xi)) / np.sqrt(state.tau_z)
-    return eta_theta[0], y[0], eta_z
+    quad = np.sum(white**2, axis=0)
+    # cho_factor leaves the input matrix in the unused upper triangle
+    Ly = np.tril(lr.Py_cho[0])
+    quad += np.sum((Ly.T @ y.T) ** 2, axis=0)
+    lin = eta_theta @ lr.G_theta.T + y @ lr.A.T
+    quad += lr.tau_Q * np.sum(lin**2, axis=1)
+    return -0.5 * quad - 0.5 * d * LOG_2PI - 0.5 * lr.logdet()
 
 
 def estimate_nKL(model, state: VariationalState, params: ModelParams,
@@ -108,9 +89,7 @@ def estimate_nKL(model, state: VariationalState, params: ModelParams,
     k = d_z - d_y
     calls_before = model.forward_calls
 
-    eta_theta, y = _sample_joint(state, M, rng)
-    xi = rng.standard_normal((M, d_z))
-    eta_z = (xi - (xi @ params.W) @ params.W.T) / np.sqrt(state.tau_z)
+    eta_theta, y, eta_z = _draw_q(state, params, M, rng)
 
     # one solve whitens both the mean's deviation and the draws
     fp = prior.field_prior
@@ -152,7 +131,7 @@ def estimate_nKL(model, state: VariationalState, params: ModelParams,
     log_mean_w = float(lse - np.log(M))
     mean_log_w = float(np.mean(log_w))
     KL = log_mean_w - mean_log_w
-    H_q = float(-0.5 * (fp.d + d_y) * LOG_2PI - 0.5 * state.logdet_joint_cov()
+    H_q = float(-0.5 * (fp.d + d_y) * LOG_2PI - 0.5 * state.lowrank.logdet()
                 - 0.5 * k * (LOG_2PI - np.log(state.tau_z)))
     ess = float(np.exp(2.0 * lse - logsumexp(2.0 * log_w)))
     kl_se = _jackknife_se(log_w)

@@ -7,12 +7,10 @@ and theta = mu_theta + eta_theta. The approximating density q is Gaussian
 with zero means, joint blocks (C_thth, C_thy, C_yy) over (eta_theta, y), and
 isotropic precision tau_z on the orthogonal complement of span(W).
 
-`vb_expectation` always takes the low-rank route: it exploits the output
-count n << d_theta, so an update never assembles a d_theta x d_theta
-precision. `dense_expectation` inverts the dense joint precision instead; it
-is the reference the tests compare the low-rank route against, and nothing
-in the pipeline calls it. States built by hand with a dense C_thth still
-work everywhere a state is read.
+q is held in one form: `vb_expectation` exploits the output count
+n << d_theta and keeps the theta block as Woodbury factors
+(`LowRankFactors`), so neither an update nor a reader of q ever assembles a
+d_theta x d_theta precision or covariance.
 
 `run_vbem` alternates the q update with a Cayley ascent of the basis
 (`stiefel`) from a closed-form start: for fixed q the basis bound is
@@ -97,14 +95,14 @@ class LowRankFactors:
     prior: FieldPrior
     G_theta: np.ndarray
     A: np.ndarray
-    Py: np.ndarray
     Py_cho: tuple
     B_th: np.ndarray
     B_y: np.ndarray
     S_cho: tuple
     tau_Q: float
 
-    def logdet_joint_cov(self):
+    def logdet(self):
+        """Log-determinant of the (eta_theta, y) covariance above."""
         n = self.A.shape[0]
         logdet_Py = 2.0 * np.sum(np.log(np.diag(self.Py_cho[0])))
         logdet_S = 2.0 * np.sum(np.log(np.diag(self.S_cho[0])))
@@ -113,22 +111,13 @@ class LowRankFactors:
 
 @dataclass
 class VariationalState:
-    """Covariance blocks of q; the theta block may be held in low-rank form."""
+    """Covariance blocks of q; the theta block is held by its factors,
+    C_thth = C_theta0 - B_th S^{-1} B_th^T (`LowRankFactors`)."""
 
     C_yy: np.ndarray
     C_thy: np.ndarray
     tau_z: float
-    _C_thth: np.ndarray = field(default=None, repr=False)
-    lowrank: LowRankFactors = field(default=None, repr=False)
-
-    @property
-    def C_thth(self) -> np.ndarray:
-        """Dense theta block; formed on first read, which the pipeline never does."""
-        if self._C_thth is None:
-            lr = self.lowrank
-            L = lr.prior.chol
-            self._C_thth = L @ L.T - lr.B_th @ sla.cho_solve(lr.S_cho, lr.B_th.T)
-        return self._C_thth
+    lowrank: LowRankFactors = field(repr=False)
 
     @property
     def d_theta(self):
@@ -137,19 +126,6 @@ class VariationalState:
     @property
     def d_y(self):
         return self.C_yy.shape[0]
-
-    def joint_cov(self) -> np.ndarray:
-        top = np.hstack([self.C_thth, self.C_thy])
-        bot = np.hstack([self.C_thy.T, self.C_yy])
-        return np.vstack([top, bot])
-
-    def logdet_joint_cov(self) -> float:
-        if self.lowrank is not None:
-            return self.lowrank.logdet_joint_cov()
-        sign, val = np.linalg.slogdet(self.joint_cov())
-        if sign <= 0:
-            raise DegenerateCovarianceError("joint covariance not positive definite")
-        return val
 
 
 def _check_orthonormal(W, tol=1e-8):
@@ -188,19 +164,6 @@ def _tau_z_update(prior: PriorConfig, G_z, A, W, tau_Q, f, eps_c2):
     return prior.tau_z0 + total / k
 
 
-def _q_blocks(G_theta, G_z, params: ModelParams, prior: PriorConfig, tau_Q,
-              f, eps_c2):
-    """Pieces both expectation routes share: G_theta, A = G_z W, Py, tau_z."""
-    _check_orthonormal(params.W)
-    W = params.W
-    G_theta = np.asarray(G_theta, dtype=float)
-    G_z = np.asarray(G_z, dtype=float)
-    A = G_z @ W
-    Py = _y_prior_precision(prior, W, f, eps_c2)
-    tau_z = _tau_z_update(prior, G_z, A, W, tau_Q, f, eps_c2)
-    return G_theta, A, Py, tau_z
-
-
 def vb_expectation(G_theta, G_z, params: ModelParams, prior: PriorConfig,
                    tau_Q: float, f=None, eps_c2=None) -> VariationalState:
     """Closed-form optimal q for fixed point estimates, in low-rank form.
@@ -213,7 +176,13 @@ def vb_expectation(G_theta, G_z, params: ModelParams, prior: PriorConfig,
     when a constraint gradient f is supplied. Its inverse is held through the
     Woodbury identity with an n x n capacitance matrix (`LowRankFactors`).
     """
-    G_theta, A, Py, tau_z = _q_blocks(G_theta, G_z, params, prior, tau_Q, f, eps_c2)
+    W = params.W
+    _check_orthonormal(W)
+    G_theta = np.asarray(G_theta, dtype=float)
+    G_z = np.asarray(G_z, dtype=float)
+    A = G_z @ W
+    Py = _y_prior_precision(prior, W, f, eps_c2)
+    tau_z = _tau_z_update(prior, G_z, A, W, tau_Q, f, eps_c2)
     fp = prior.field_prior
     n = G_theta.shape[0]
     # B_th = C0 G_theta^T = L (L^T G_theta^T) by two triangular products on
@@ -235,36 +204,8 @@ def vb_expectation(G_theta, G_z, params: ModelParams, prior: PriorConfig,
     C_yy = Py_inv - B_y @ sla.cho_solve(S_cho, B_y.T)
     C_yy = 0.5 * (C_yy + C_yy.T)
     C_thy = -B_th @ sla.cho_solve(S_cho, B_y.T)
-    lr = LowRankFactors(fp, G_theta, A, Py, Py_cho, B_th, B_y, S_cho, tau_Q)
+    lr = LowRankFactors(fp, G_theta, A, Py_cho, B_th, B_y, S_cho, tau_Q)
     return VariationalState(C_yy=C_yy, C_thy=C_thy, tau_z=tau_z, lowrank=lr)
-
-
-def dense_expectation(G_theta, G_z, params: ModelParams, prior: PriorConfig,
-                      tau_Q: float, f=None, eps_c2=None) -> VariationalState:
-    """The q of `vb_expectation` by inverting the dense joint precision.
-
-    The tests' reference for the low-rank route; it costs a
-    (d_theta + d_y)^2 inverse, so the pipeline never calls it.
-    """
-    G_theta, A, Py, tau_z = _q_blocks(G_theta, G_z, params, prior, tau_Q, f, eps_c2)
-    d_theta = G_theta.shape[1]
-    C0inv = prior.field_prior.solve(np.eye(d_theta))
-    top = np.hstack([tau_Q * G_theta.T @ G_theta + C0inv, tau_Q * G_theta.T @ A])
-    bot = np.hstack([top[:, d_theta:].T, tau_Q * A.T @ A + Py])
-    prec = np.vstack([top, bot])
-    prec = 0.5 * (prec + prec.T)
-    try:
-        cho = sla.cho_factor(prec, lower=True)
-    except np.linalg.LinAlgError as exc:
-        raise IndefinitePrecisionError("joint precision not positive definite") from exc
-    cov = sla.cho_solve(cho, np.eye(prec.shape[0]))
-    cov = 0.5 * (cov + cov.T)
-    return VariationalState(
-        C_yy=cov[d_theta:, d_theta:].copy(),
-        C_thy=cov[:d_theta, d_theta:].copy(),
-        tau_z=tau_z,
-        _C_thth=cov[:d_theta, :d_theta].copy(),
-    )
 
 
 def evaluate_F(state: VariationalState, params: ModelParams, prior: PriorConfig,
@@ -283,17 +224,10 @@ def evaluate_F(state: VariationalState, params: ModelParams, prior: PriorConfig,
     r = np.asarray(residual, dtype=float)
     A = G_z @ W
 
-    if state.lowrank is not None:
-        lr = state.lowrank
-        M = G_theta @ lr.B_th
-        SinvM = sla.cho_solve(lr.S_cho, M)
-        tr_GG_thth = float(np.trace(M)) - float(np.sum(M * SinvM))
-        tr_C0inv_thth = d_theta - float(np.trace(SinvM))
-    else:
-        C_thth = state.C_thth
-        GC = G_theta @ C_thth
-        tr_GG_thth = float(np.sum(GC * G_theta))
-        tr_C0inv_thth = float(np.trace(prior.field_prior.solve(C_thth)))
+    M = G_theta @ state.lowrank.B_th
+    SinvM = sla.cho_solve(state.lowrank.S_cho, M)
+    tr_GG_thth = float(np.trace(M)) - float(np.sum(M * SinvM))
+    tr_C0inv_thth = d_theta - float(np.trace(SinvM))
 
     tr_yy = float(np.sum((A.T @ A) * state.C_yy))
     tr_cross = 2.0 * float(np.sum((G_theta.T @ A) * state.C_thy))
@@ -301,7 +235,6 @@ def evaluate_F(state: VariationalState, params: ModelParams, prior: PriorConfig,
 
     dev = params.mu_theta - prior.mu_theta0
     quad_theta = prior.field_prior.quad(dev)
-    logdet_joint = state.logdet_joint_cov()
 
     terms = {
         "residual": -0.5 * tau_Q * float(r @ r),
@@ -313,7 +246,8 @@ def evaluate_F(state: VariationalState, params: ModelParams, prior: PriorConfig,
                    + 0.5 * d_y * (np.log(prior.tau_y0) - LOG_2PI),
         "eta_z_prior": -0.5 * k * (prior.tau_z0 / state.tau_z)
                        + 0.5 * k * (np.log(prior.tau_z0) - LOG_2PI) if k > 0 else 0.0,
-        "entropy_joint": 0.5 * logdet_joint + 0.5 * (d_theta + d_y) * (LOG_2PI + 1.0),
+        "entropy_joint": 0.5 * state.lowrank.logdet()
+                         + 0.5 * (d_theta + d_y) * (LOG_2PI + 1.0),
         "entropy_eta_z": -0.5 * k * np.log(state.tau_z) + 0.5 * k * (LOG_2PI + 1.0)
                          if k > 0 else 0.0,
         "mu_z_prior": float(log_p_mu_z),
@@ -378,6 +312,8 @@ class VbemResult:
 
 def initial_W(d_z: int, d_y: int, rng: np.random.Generator) -> np.ndarray:
     """Orthonormalized standard-normal basis."""
+    if not 1 <= d_y <= d_z:
+        raise ValueError(f"need 1 <= d_y <= d_z, got d_y = {d_y} and d_z = {d_z}")
     Q, R = np.linalg.qr(rng.standard_normal((d_z, d_y)))
     return Q * np.sign(np.diag(R))
 

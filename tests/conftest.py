@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
 from vbdesign.random_field import FieldPrior
 from vbdesign.vb import ModelParams, PriorConfig, initial_W
@@ -15,6 +16,96 @@ def make_field_prior(d, rng, scale=1.0, mean=0.0):
 def prior_covariance(fp):
     """The dense C_theta0 a FieldPrior stands for, formed from its factor."""
     return fp.chol @ fp.chol.T
+
+
+# ---------------------------------------------------------------------------
+# Dense reference of q. The package holds q only in low-rank form; these
+# plain-array helpers spell out the dense Gaussians it stands for, at
+# (d_theta + d_y)^2 or (d_theta + d_z)^2 cost, for the oracle tests.
+# ---------------------------------------------------------------------------
+
+def theta_block(state):
+    """Dense C_thth = C_theta0 - B_th S^-1 B_th^T from a state's factors."""
+    lr = state.lowrank
+    return prior_covariance(lr.prior) - lr.B_th @ sla.cho_solve(lr.S_cho, lr.B_th.T)
+
+
+def joint_cov(state):
+    """Dense covariance of (eta_theta, y) under a state's q."""
+    return np.block([[theta_block(state), state.C_thy],
+                     [state.C_thy.T, state.C_yy]])
+
+
+def dense_expectation(G_theta, G_z, params, prior, tau_Q, f=None, eps_c2=None):
+    """The q of `vb.vb_expectation` by inverting the dense joint precision.
+
+    Returns the (eta_theta, y) covariance and tau_z. The precision is
+    tau_Q J^T J + blockdiag(C_theta0^-1, Py) with J = [G_theta, G_z W], and
+    tau_z averages the complement's data over its k = d_z - d_y directions.
+    """
+    W = params.W
+    d_z, d_y = W.shape
+    d_theta = G_theta.shape[1]
+    P_perp = np.eye(d_z) - W @ W.T
+    Py = prior.tau_y0 * np.eye(d_y)
+    T = tau_Q * np.sum((G_z @ P_perp) ** 2)
+    if f is not None:
+        Py = Py + np.outer(W.T @ f, W.T @ f) / eps_c2
+        T += float(f @ P_perp @ f) / eps_c2
+    k = d_z - d_y
+    tau_z = prior.tau_z0 + (T / k if k > 0 else 0.0)
+    J = np.hstack([G_theta, G_z @ W])
+    prec = tau_Q * J.T @ J
+    prec[:d_theta, :d_theta] += np.linalg.inv(prior_covariance(prior.field_prior))
+    prec[d_theta:, d_theta:] += Py
+    cov = sla.cho_solve(sla.cho_factor(0.5 * (prec + prec.T), lower=True),
+                        np.eye(d_theta + d_y))
+    return 0.5 * (cov + cov.T), tau_z
+
+
+def dense_bound(cov, tau_z, params, prior, tau_Q, residual, G_theta, G_z, f=None,
+                eps_c2=None, log_p_mu_z=0.0, c_mu=0.0):
+    """The variational bound E_q[log(U_lin p / q)] from the Gaussian densities.
+
+    q is N(0, cov) on (eta_theta, y) and N(0, (I - W W^T) / tau_z) on eta_z,
+    so x = (eta_theta, z - mu_z) is N(0, Sigma) in d_theta + d_z dimensions.
+    Each term is the expectation of one log density under that Gaussian:
+    the linearized utility -tau_Q/2 |r - [G_theta, G_z] x|^2, the field prior
+    N(mu_theta0, C_theta0) at mu_theta + eta_theta, the design prior with
+    precision tau_y0 on span(W) and tau_z0 on its complement, the linearized
+    soft constraint c_mu + f^T (z - mu_z), and -log q.
+    """
+    W = params.W
+    d_z, d_y = W.shape
+    d_theta = G_theta.shape[1]
+    P_perp = np.eye(d_z) - W @ W.T
+    E = np.zeros((d_theta + d_z, d_theta + d_y))
+    E[:d_theta, :d_theta] = np.eye(d_theta)
+    E[d_theta:, d_theta:] = W
+    Sigma = E @ cov @ E.T
+    Sigma[d_theta:, d_theta:] += P_perp / tau_z
+    S_thth, S_zz = Sigma[:d_theta, :d_theta], Sigma[d_theta:, d_theta:]
+    r = np.asarray(residual, dtype=float)
+    G = np.hstack([G_theta, G_z])
+
+    def expected_log_normal(prec_second_moment, logdet_cov, dim):
+        return -0.5 * (prec_second_moment + logdet_cov + dim * np.log(2 * np.pi))
+
+    log_U = -0.5 * tau_Q * (r @ r + np.trace(G @ Sigma @ G.T))
+    fp = prior.field_prior
+    C0 = prior_covariance(fp)
+    dev = params.mu_theta - fp.mean
+    log_p_theta = expected_log_normal(
+        dev @ np.linalg.solve(C0, dev) + np.trace(np.linalg.solve(C0, S_thth)),
+        np.linalg.slogdet(C0)[1], d_theta)
+    Lam = prior.tau_y0 * W @ W.T + prior.tau_z0 * P_perp
+    log_p_z = expected_log_normal(np.sum(Lam * S_zz), -np.linalg.slogdet(Lam)[1], d_z)
+    entropy = 0.5 * np.linalg.slogdet(Sigma)[1] \
+        + 0.5 * (d_theta + d_z) * (np.log(2 * np.pi) + 1.0)
+    total = log_U + log_p_theta + log_p_z + entropy + log_p_mu_z
+    if f is not None:
+        total -= 0.5 / eps_c2 * (c_mu**2 + f @ S_zz @ f)
+    return float(total)
 
 
 @pytest.fixture

@@ -7,7 +7,7 @@ the criterion tests. Everything is seeded, so reruns are bitwise identical.
 """
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 import pytest
@@ -23,7 +23,6 @@ from vbdesign.problems import (
 from vbdesign.vb import (
     ModelParams,
     PriorConfig,
-    evaluate_F,
     initial_W,
     run_vbem,
     sensitive_directions,
@@ -265,7 +264,7 @@ def test_criterion_6_oracle_equivalences(rng):
     checks = []
 
     # (a) closed-form expectation vs brute-force bound maximization
-    from conftest import toy_vb_instance
+    from conftest import dense_bound, joint_cov, toy_vb_instance
     G_theta, G_z, params, prior, tau_Q, residual = toy_vb_instance(
         rng, d_theta=2, d_z=3, d_y=1, n=2, tau_y0=0.5, eps2=0.1, tau_Q=1.2)
     st = vb_expectation(G_theta, G_z, params, prior, tau_Q)
@@ -279,19 +278,15 @@ def test_criterion_6_oracle_equivalences(rng):
 
     def neg_F(x):
         cov, tau_z = unpack(x)
-        trial = replace(st, C_yy=cov[2:, 2:].copy(), C_thy=cov[:2, 2:].copy(),
-                        tau_z=tau_z, _C_thth=cov[:2, :2].copy(), lowrank=None)
-        try:
-            return -evaluate_F(trial, params, prior, tau_Q, residual, G_theta, G_z)
-        except (np.linalg.LinAlgError, FloatingPointError):
-            return 1e12
+        F = dense_bound(cov, tau_z, params, prior, tau_Q, residual, G_theta, G_z)
+        return -F if np.isfinite(F) else 1e12
 
     x0 = np.zeros(7)
     x0[-1] = np.log(prior.tau_z0 * 10)
     opt = scipy.optimize.minimize(neg_F, x0, method="Nelder-Mead",
                                   options=dict(maxiter=20000, xatol=1e-12, fatol=1e-14))
     cov_opt, tau_z_opt = unpack(opt.x)
-    err_a = max(float(np.max(np.abs(cov_opt - st.joint_cov()))),
+    err_a = max(float(np.max(np.abs(cov_opt - joint_cov(st)))),
                 abs(tau_z_opt - st.tau_z) / st.tau_z)
     checks.append(("vbe_vs_bruteforce<=1e-6", err_a <= 1e-6, f"err={err_a:.2e}"))
 

@@ -5,10 +5,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from vbdesign import cli, topo_prior, vb
+from vbdesign import cli, problems, topo_prior, vb
 from vbdesign.cli import ConfigError, build_problem, parse_config, run
 
-from conftest import prior_covariance
+from conftest import prior_covariance, theta_block
 
 SMALL_HEAT = """
 # compact heat setup for fast runs
@@ -155,7 +155,7 @@ class TestRunPipeline:
         assert np.array_equal(S_chol, np.tril(S_chol))
         half = np.linalg.solve(S_chol, B_th.T)
         C_thth = prior_covariance(fp) - half.T @ half
-        expected = art.vbem.state.C_thth
+        expected = theta_block(art.vbem.state)
         assert np.max(np.abs(C_thth - expected)) <= 1e-12 * np.max(np.abs(expected))
 
     def test_rerun_bitwise_identical_spectrum(self, heat_run, tmp_path):
@@ -227,6 +227,25 @@ class TestMainExitCodes:
         bad = tmp_path / "bad.cfg"
         bad.write_text(SMALL_TOPO.replace("topo_prior.burn_in = 40", "topo_prior.burn_in = 150"))
         assert cli.main(["--config", str(bad), "--out", str(tmp_path / "o")]) == 2
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("line", [
+        "mesh.nx = 0", "vb.d_y = 50", "map.tol = nan", "validate.M = 1", "vb.d_y = 0",
+        "sample.levels = 1.5", "sample.count = -1", "vb.eps2 = 0", "vb.tau_y0_inv = -1",
+        "constraint.VF = 1.5", "mesh.ny = 0", "field.x0 = inf", "field.mu_theta0 = nan",
+        "utility.tau_Q_inv = 0", "constraint.eps_c2 = -1e-10", "map.max_iter = 0",
+        "map.c_z0 = nan", "map.gibbs_seed = -1", "topo_prior.s2 = 0",
+        "sample.levels = 0.5,1.0", "seed = -3"], ids=lambda line: line.replace(" ", ""))
+    def test_out_of_range_value_exit_2(self, tmp_path, monkeypatch, line):
+        # vb.d_y = 50 exceeds d_z = 5 of the 8x4 heat mesh, which only the
+        # built model knows; every case stops before a solve or an output
+        solves, solve = [], problems.solve_forward
+        monkeypatch.setattr(problems, "solve_forward",
+                            lambda *a, **kw: solves.append(1) or solve(*a, **kw))
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(SMALL_HEAT + line + "\n")
+        assert cli.main(["--config", str(bad), "--out", str(tmp_path / "o")]) == 2
+        assert solves == []
         assert not (tmp_path / "o").exists()
 
     def test_missing_config_file_exit_2(self, tmp_path):

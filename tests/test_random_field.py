@@ -60,9 +60,8 @@ class TestBuildCovariance:
     def test_solve_and_quad_consistent(self, rng):
         prior = small_prior()
         v = rng.standard_normal(prior.d)
-        x = prior.solve(v)
-        assert np.allclose(prior_covariance(prior) @ x, v)
-        assert prior.quad(v) == pytest.approx(float(v @ prior.solve(v)), rel=1e-10)
+        x = np.linalg.solve(prior_covariance(prior), v)
+        assert prior.quad(v) == pytest.approx(float(v @ x), rel=1e-10)
 
     def test_nugget_retry_rebuilds_the_kernel(self):
         # a repeated centroid makes the kernel exactly singular; the failed

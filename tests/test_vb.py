@@ -11,12 +11,12 @@ import numpy as np
 import pytest
 import scipy.optimize
 
-from conftest import make_field_prior, prior_covariance, toy_vb_instance
+from conftest import (dense_bound, dense_expectation, joint_cov, make_field_prior,
+                      prior_covariance, theta_block, toy_vb_instance)
 from vbdesign import stiefel, vb
 from vbdesign.vb import (
     ModelParams,
     PriorConfig,
-    dense_expectation,
     evaluate_F,
     initial_W,
     run_vbem,
@@ -30,7 +30,8 @@ class TestVbExpectation:
     def test_prior_recovery_with_zero_jacobians(self, rng):
         G_theta, G_z, params, prior, tau_Q, _ = toy_vb_instance(rng)
         st = vb_expectation(0 * G_theta, 0 * G_z, params, prior, tau_Q)
-        assert np.allclose(st.C_thth, prior_covariance(prior.field_prior), atol=1e-10)
+        assert np.allclose(theta_block(st), prior_covariance(prior.field_prior),
+                           atol=1e-10)
         assert np.allclose(st.C_thy, 0.0, atol=1e-12)
         assert np.allclose(st.C_yy, np.eye(params.d_y) / prior.tau_y0, atol=1e-8)
         assert st.tau_z == pytest.approx(prior.tau_z0)
@@ -46,7 +47,7 @@ class TestVbExpectation:
         st = vb_expectation(G_theta, G_z, params, prior, 1.0)
         prec = np.array([[1.0 + 1.0, 1.0], [1.0, 1.0 + 1.0]])
         cov = np.linalg.inv(prec)
-        assert st.C_thth[0, 0] == pytest.approx(cov[0, 0])
+        assert theta_block(st)[0, 0] == pytest.approx(cov[0, 0])
         assert st.C_thy[0, 0] == pytest.approx(cov[0, 1])
         assert st.C_yy[0, 0] == pytest.approx(cov[1, 1])
         # complement direction carries no data: tau_z = tau_z0
@@ -60,15 +61,15 @@ class TestVbExpectation:
                 rng, d_theta=d_theta, d_z=8, d_y=3, n=4)
             f = rng.standard_normal(params.d_z)
             for kw in ({}, dict(f=f, eps_c2=1e-4)):
-                sd = dense_expectation(G_theta, G_z, params, prior, tau_Q, **kw)
+                cov, tau_z = dense_expectation(G_theta, G_z, params, prior, tau_Q, **kw)
                 sl = vb_expectation(G_theta, G_z, params, prior, tau_Q, **kw)
-                assert sd.lowrank is None and sl.lowrank is not None
-                assert np.allclose(sd.C_thth, sl.C_thth, atol=1e-9)
-                assert np.allclose(sd.C_thy, sl.C_thy, atol=1e-9)
-                assert np.allclose(sd.C_yy, sl.C_yy, atol=1e-9)
-                assert sd.tau_z == pytest.approx(sl.tau_z)
-                assert sd.logdet_joint_cov() == pytest.approx(sl.logdet_joint_cov(),
-                                                              abs=1e-8)
+                d = d_theta
+                assert np.allclose(cov[:d, :d], theta_block(sl), atol=1e-9)
+                assert np.allclose(cov[:d, d:], sl.C_thy, atol=1e-9)
+                assert np.allclose(cov[d:, d:], sl.C_yy, atol=1e-9)
+                assert tau_z == pytest.approx(sl.tau_z)
+                assert np.linalg.slogdet(cov)[1] == pytest.approx(sl.lowrank.logdet(),
+                                                                  abs=1e-8)
 
     def test_closed_form_matches_brute_force_maximization(self, rng):
         # d_theta=2, d_y=1, d_z=3: optimize F numerically over the Cholesky
@@ -88,19 +89,15 @@ class TestVbExpectation:
 
         def neg_F(x):
             cov, tau_z = unpack(x)
-            trial = replace(st, C_yy=cov[2:, 2:].copy(), C_thy=cov[:2, 2:].copy(),
-                            tau_z=tau_z, _C_thth=cov[:2, :2].copy(), lowrank=None)
-            try:
-                return -evaluate_F(trial, params, prior, tau_Q, residual, G_theta, G_z)
-            except (np.linalg.LinAlgError, FloatingPointError):
-                return 1e12
+            F = dense_bound(cov, tau_z, params, prior, tau_Q, residual, G_theta, G_z)
+            return -F if np.isfinite(F) else 1e12
 
         x0 = np.zeros(d * (d + 1) // 2 + 1)
         x0[-1] = np.log(prior.tau_z0 * 10)
         out = scipy.optimize.minimize(neg_F, x0, method="Nelder-Mead",
                                       options=dict(maxiter=20000, xatol=1e-12, fatol=1e-14))
         cov_opt, tau_z_opt = unpack(out.x)
-        joint = st.joint_cov()
+        joint = joint_cov(st)
         assert np.max(np.abs(cov_opt - joint)) < 1e-6
         assert abs(tau_z_opt - st.tau_z) / st.tau_z < 1e-6
         # and the closed form attains at least the numeric maximum
@@ -148,6 +145,21 @@ class TestEvaluateF:
         b = evaluate_F(st, params, prior, tau_Q, residual, G_theta, G_z)
         assert a == b
 
+    @pytest.mark.parametrize("d_theta", [1, 30, 300])
+    def test_matches_dense_bound(self, rng, d_theta):
+        # evaluate_F's trace forms at vb_expectation's q against the bound
+        # written from the dense Gaussian densities
+        G_theta, G_z, params, prior, tau_Q, residual = toy_vb_instance(
+            rng, d_theta=d_theta, d_z=8, d_y=3, n=4)
+        f = rng.standard_normal(params.d_z)
+        for kw in ({}, dict(f=f, eps_c2=1e-4)):
+            st = vb_expectation(G_theta, G_z, params, prior, tau_Q, **kw)
+            kw.update(log_p_mu_z=-0.37, c_mu=0.2)
+            F = evaluate_F(st, params, prior, tau_Q, residual, G_theta, G_z, **kw)
+            ref = dense_bound(joint_cov(st), st.tau_z, params, prior, tau_Q, residual,
+                              G_theta, G_z, **kw)
+            assert F == pytest.approx(ref, rel=1e-9, abs=0.0)
+
     def test_monotone_over_recorded_run(self, rng):
         G_theta, G_z, params, prior, tau_Q, residual = toy_vb_instance(
             rng, d_theta=8, d_z=6, d_y=2, n=3)
@@ -167,7 +179,7 @@ class TestEvaluateF:
         M = 100_000
         d_theta, d_z, d_y = 3, 4, 2
         k = d_z - d_y
-        L = np.linalg.cholesky(st.joint_cov())
+        L = np.linalg.cholesky(joint_cov(st))
         x = rng.standard_normal((M, d_theta + d_y)) @ L.T
         eta_th, y = x[:, :d_theta], x[:, d_theta:]
         xi = rng.standard_normal((M, d_z))
@@ -185,9 +197,9 @@ class TestEvaluateF:
             + 0.5 * d_y * np.log(prior.tau_y0 / (2 * np.pi))
         log_p_ez = -0.5 * prior.tau_z0 * np.sum(eta_z**2, axis=1) \
             + 0.5 * k * np.log(prior.tau_z0 / (2 * np.pi))
-        sol_q = np.linalg.solve(st.joint_cov(), x.T).T
+        sol_q = np.linalg.solve(joint_cov(st), x.T).T
         log_q = -0.5 * np.sum(x * sol_q, axis=1) - 0.5 * (d_theta + d_y) * np.log(2 * np.pi) \
-            - 0.5 * st.logdet_joint_cov() \
+            - 0.5 * st.lowrank.logdet() \
             - 0.5 * st.tau_z * np.sum(eta_z**2, axis=1) + 0.5 * k * np.log(st.tau_z / (2 * np.pi))
         vals = log_U + log_p_th + log_p_y + log_p_ez - log_q
         se = np.std(vals) / np.sqrt(M)
@@ -235,7 +247,7 @@ class TestSensitiveDirections:
         P = params.W @ params.W.T
         assert np.allclose(P @ spec.W_hat, spec.W_hat, atol=1e-10)
         # with a genuinely diagonal distinct C_yy the columns match W
-        st2 = replace(st, C_yy=np.diag([0.5, 2.0]), lowrank=None)
+        st2 = replace(st, C_yy=np.diag([0.5, 2.0]))
         spec2 = sensitive_directions(st2, params)
         overlap = np.abs(spec2.W_hat.T @ params.W)
         assert np.allclose(overlap, np.eye(2), atol=1e-10)
@@ -273,9 +285,7 @@ class TestSensitiveDirections:
         spec = sensitive_directions(st, params)
         perm = [2, 0, 1]
         params_p = replace(params, W=params.W[:, perm])
-        st_p = replace(st, C_yy=st.C_yy[np.ix_(perm, perm)].copy(),
-                       C_thy=st.C_thy[:, perm].copy(), lowrank=None,
-                       _C_thth=st.C_thth.copy())
+        st_p = vb_expectation(G_theta, G_z, params_p, prior, tau_Q)
         F_p = evaluate_F(st_p, params_p, prior, tau_Q, residual, G_theta, G_z)
         spec_p = sensitive_directions(st_p, params_p)
         assert F_p == pytest.approx(F, rel=1e-12)
@@ -346,6 +356,11 @@ class TestRunVbem:
             rng, d_theta=4, d_z=3, d_y=3, n=2)
         out = run_vbem(G_theta, G_z, params, prior, tau_Q, residual)
         assert out.state.tau_z == pytest.approx(prior.tau_z0)
+
+    @pytest.mark.parametrize("d_y", [0, 6, 50])
+    def test_initial_W_needs_d_y_within_d_z(self, rng, d_y):
+        with pytest.raises(ValueError):
+            initial_W(5, d_y, rng)
 
     def test_returned_state_matches_final_basis(self, rng):
         G_theta, G_z, params, prior, tau_Q, residual = toy_vb_instance(rng)
