@@ -175,7 +175,7 @@ def optimize_map(model, prior: PriorConfig, options: MapOptions = None,
     else:
         mu_z = np.zeros(model.d_z)
 
-    # the sweep schedule depends on the neighbor graph only: build it once
+    # the neighbor graph depends on the mesh only: build it once
     chain = topo_prior.new_state(topo_prior.build_neighbor_graph(model.mesh),
                                  m=opts.prior_m, s2=opts.prior_s2) if constrained else None
 

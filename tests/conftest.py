@@ -3,6 +3,8 @@ import pytest
 import scipy.linalg as sla
 
 from vbdesign.random_field import FieldPrior
+from vbdesign.topo_prior import (BETA_BOUNDS, BETA_STEP, MODE_LOCATION, estimate_phi_mean,
+                                 new_state)
 from vbdesign.vb import ModelParams, PriorConfig, initial_W
 
 
@@ -106,6 +108,89 @@ def dense_bound(cov, tau_z, params, prior, tau_Q, residual, G_theta, G_z, f=None
     if f is not None:
         total -= 0.5 / eps_c2 * (c_mu**2 + f @ S_zz @ f)
     return float(total)
+
+
+# ---------------------------------------------------------------------------
+# Raster reference of the spin chain. The package sweeps level by level on
+# the sites that can still flip; these helpers offer every site a flip one
+# at a time in index order and score the beta move on all rows, drawing the
+# same stream, for the oracle and statistical tests.
+# ---------------------------------------------------------------------------
+
+def raster_sweep(phi, neighbors, drive, beta, log_u):
+    """One site at a time in index order, in place."""
+    spins = phi.tolist()
+    lu = log_u.tolist()
+    for j, (row, dj) in enumerate(zip(neighbors.tolist(), drive.tolist())):
+        ssum = 0.0
+        for nb in row:
+            if nb >= 0:
+                ssum += spins[nb]
+        if lu[j] < -2.0 * spins[j] * (dj - beta * ssum):
+            spins[j] = -spins[j]
+    phi[:] = spins
+
+
+def raster_phi_mean(neighbors, mu_z, sweeps, burn_in, rng, m=MODE_LOCATION, s2=1.0,
+                    phi=None, beta=0.0, update_beta=True, trace=None, proposals=None):
+    """Reference estimate_phi_mean on the raster kernel, drawing the same stream.
+
+    Spins start from `phi` (default: the data side of mu_z). `trace`, when
+    given, collects (spins, beta) after each sweep and its beta move, and
+    `proposals` the beta proposals. Returns (phi_mean, phi, beta).
+    """
+    phi = np.where(mu_z >= 0.0, 1, -1).astype(np.int8) if phi is None else phi.copy()
+    drive = (m / s2) * mu_z
+    acc = np.zeros(len(phi))
+    for t in range(sweeps):
+        with np.errstate(divide="ignore"):
+            log_u = np.log(rng.random(len(phi)))
+        raster_sweep(phi, neighbors, drive, beta, log_u)
+        if update_beta:
+            prop = beta + BETA_STEP * rng.standard_normal()
+            log_a = np.log(rng.random())
+            if proposals is not None:
+                proposals.append(prop)
+            if BETA_BOUNDS[0] <= prop <= BETA_BOUNDS[1]:
+                sums = np.where(neighbors >= 0, phi[neighbors], 0).astype(float).sum(axis=1)
+                f = phi.astype(float)
+
+                def pll(b):
+                    a = drive - b * sums
+                    return float(np.sum(f * a - np.logaddexp(a, -a)))
+                if log_a < pll(prop) - pll(beta):
+                    beta = float(prop)
+        if trace is not None:
+            trace.append((phi.copy(), beta))
+        if t >= burn_in:
+            acc += phi
+    return acc / (sweeps - burn_in), phi, beta
+
+
+def generator_state(gen):
+    """Bit-generator state of a Generator or of a stand-in wrapping one as `rng`."""
+    return getattr(gen, "rng", gen).bit_generator.state
+
+
+def replay_chain(neighbors, mu_z, sweeps, burn_in, make_rng, m=MODE_LOCATION, s2=1.0,
+                 phi=None, beta=0.0, update_beta=True, trace=None, proposals=None):
+    """The raster reference and whether estimate_phi_mean reproduces it.
+
+    Both chains start from the same spins and beta and draw from their own
+    `make_rng()` stream. They agree when phi_mean, the final spins, beta and
+    the generator state are all equal. Returns the reference's
+    (phi_mean, phi, beta) and that verdict.
+    """
+    ref_rng, rng = make_rng(), make_rng()
+    ref = raster_phi_mean(neighbors, mu_z, sweeps, burn_in, ref_rng, m, s2, phi, beta,
+                          update_beta, trace, proposals)
+    st = new_state(neighbors, mu_z, m=m, s2=s2, beta=beta)
+    if phi is not None:
+        st.phi[:] = phi
+    pm = estimate_phi_mean(st, mu_z, sweeps, burn_in, rng, update_beta)
+    same = (np.array_equal(pm, ref[0]) and np.array_equal(st.phi, ref[1])
+            and st.beta == ref[2] and generator_state(rng) == generator_state(ref_rng))
+    return ref, same
 
 
 @pytest.fixture

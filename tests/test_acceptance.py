@@ -389,6 +389,7 @@ def test_criterion_7_property_suites(heat_run, topo04_run, topo02_run, rng, tmp_
 
     # spin-sampler stationarity on the exhaustively enumerable 4-element graph
     import itertools
+    from conftest import replay_chain
     from vbdesign.mesh_fem import build_regular_mesh
     mesh = build_regular_mesh(2, 1, 1.0, 0.5)
     nb = topo_prior.build_neighbor_graph(mesh)
@@ -404,14 +405,15 @@ def test_criterion_7_property_suites(heat_run, topo04_run, topo02_run, rng, tmp_
     p_true = np.exp(np.array(logp) - max(logp))
     p_true /= p_true.sum()
     index = {s: i for i, s in enumerate(states)}
-    st = topo_prior.new_state(nb, mu, m=m_loc, s2=s2, beta=beta)
-    grng = np.random.default_rng(17)
+    trace = []
+    _, same = replay_chain(nb, mu, 100_000, 1000, lambda: np.random.default_rng(17), m=m_loc,
+                           s2=s2, beta=beta, update_beta=False, trace=trace)
     counts = np.zeros(16)
-    for t in range(100_000):
-        topo_prior.gibbs_sweep(st, mu, grng, update_beta=False)
-        if t >= 1000:
-            counts[index[tuple(st.phi)]] += 1
+    for phi, _ in trace[1000:]:
+        counts[index[tuple(phi)]] += 1
     tv = 0.5 * float(np.sum(np.abs(counts / counts.sum() - p_true)))
     checks.append(("ising_stationarity_tv<=1e-2", tv <= 1e-2, f"TV={tv:.4f}"))
+    checks.append(("ising_chain_matches_raster_replay", same,
+                   "phi_mean, phi, beta, generator state"))
 
     _criterion("criterion 7: property suites", checks)

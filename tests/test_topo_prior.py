@@ -1,5 +1,6 @@
 """Spin hyperprior: neighbor graph, sweep kernel, estimates, stationarity."""
 
+import copy
 import itertools
 from dataclasses import replace
 
@@ -7,72 +8,26 @@ import numpy as np
 import pytest
 import scipy.stats
 
+from conftest import raster_sweep, replay_chain
 from vbdesign.mesh_fem import build_regular_mesh
 from vbdesign.topo_prior import (
     BETA_BOUNDS,
-    BETA_STEP,
     MODE_LOCATION,
     build_neighbor_graph,
+    data_side_spins,
     estimate_phi_mean,
-    gibbs_sweep,
     grad_log_prior_mu_z,
+    level_order,
     log_prior_mu_z,
     new_state,
     sweep_levels,
-    sweep_spins,
 )
 
 
-def raster_sweep(phi, neighbors, drive, beta, log_u):
-    """Reference kernel: one site at a time in index order, in place."""
-    spins = phi.tolist()
-    nbrs = neighbors.tolist()
-    drv = drive.tolist()
-    lu = log_u.tolist()
-    for j in range(len(spins)):
-        ssum = 0.0
-        for nb in nbrs[j]:
-            if nb >= 0:
-                ssum += spins[nb]
-        if lu[j] < -2.0 * spins[j] * (drv[j] - beta * ssum):
-            spins[j] = -spins[j]
-    phi[:] = spins
-
-
-def raster_phi_mean(neighbors, mu_z, sweeps, burn_in, rng, m=MODE_LOCATION, s2=1.0,
-                    phi=None, beta=0.0, flips=None, proposals=None):
-    """Reference estimate_phi_mean on the raster kernel, drawing the same stream.
-
-    Spins start from `phi` (default: the data side of mu_z); `flips`, when
-    given, counts each site's flips, and `proposals` collects the beta
-    proposals.
-    """
-    phi = np.where(mu_z >= 0.0, 1, -1).astype(np.int8) if phi is None else phi.copy()
-    drive = (m / s2) * mu_z
-    acc = np.zeros(len(phi))
-    for t in range(sweeps):
-        before = phi.copy()
-        with np.errstate(divide="ignore"):
-            log_u = np.log(rng.random(len(phi)))
-        raster_sweep(phi, neighbors, drive, beta, log_u)
-        if flips is not None:
-            flips += before != phi
-        prop = beta + BETA_STEP * rng.standard_normal()
-        log_a = np.log(rng.random())
-        if proposals is not None:
-            proposals.append(prop)
-        if BETA_BOUNDS[0] <= prop <= BETA_BOUNDS[1]:
-            sums = np.where(neighbors >= 0, phi[neighbors], 0).astype(float).sum(axis=1)
-            f = phi.astype(float)
-
-            def pll(b):
-                a = drive - b * sums
-                return float(np.sum(f * a - np.logaddexp(a, -a)))
-            if log_a < pll(prop) - pll(beta):
-                beta = float(prop)
-        if t >= burn_in:
-            acc += phi
-    return acc / (sweeps - burn_in), phi, beta
+def flip_counts(phi0, trace):
+    """Flips of each site over a raster_phi_mean trace that started from phi0."""
+    states = np.array([phi0] + [phi for phi, _ in trace])
+    return np.count_nonzero(np.diff(states, axis=0), axis=0)
 
 
 # 2 (|drive| - 2 * 3) = 53 log 2: above this edge an aligned site with three
@@ -111,15 +66,16 @@ class PlantedUniforms:
     and 0 at `zeros` ((draw index, site) pairs), the rest from `rng`."""
 
     def __init__(self, rng, d, tiny, zeros):
-        self.rng, self.d, self.tiny, self.zeros, self.t = rng, d, tiny, zeros, 0
+        self.rng, self.d, self.tiny, self.t = rng, d, tiny, 0
+        self.zeros = {}
+        for t, j in zeros:
+            self.zeros.setdefault(t, []).append(j)
 
     def random(self, size=None):
         u = self.rng.random(size)
         if size == self.d:
             u[self.tiny] = 2.0 ** -53
-            for t, j in self.zeros:
-                if t == self.t:
-                    u[j] = 0.0
+            u[self.zeros.get(self.t, [])] = 0.0
             self.t += 1
         return u
 
@@ -177,9 +133,10 @@ def awkward_table(rng, d=300):
 class TestSweepLevels:
     def check_schedule(self, nb):
         level = sweep_levels(nb)
-        st = new_state(nb)
-        assert sorted(np.concatenate([s for s, _ in st.levels]).tolist()) == list(range(len(nb)))
-        for sites, _ in st.levels:
+        order, ends = level_order(nb)
+        assert sorted(order.tolist()) == list(range(len(nb)))
+        for lo, hi in zip([0] + ends, ends):
+            sites = order[lo:hi]
             members = set(sites.tolist())
             assert len(set(level[sites].tolist())) == 1
             for j in sites:
@@ -206,39 +163,81 @@ class TestSweepLevels:
         assert sweep_levels(nb).tolist() == [0, 1, 2, 0, 3]
 
 
+ZERO_SWEEPS = range(150, 170, 2)
+
+
+class FixedDraws:
+    """Generator stand-in whose one d-long uniform draw is `u`."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def random(self, size=None):
+        return self.u
+
+
+def split_fixture(m, anti_half):
+    """Frozen sites whose neighbors are all candidates on both sides of them.
+
+    On the 26x17 mesh, 40 strong sites have only weak neighbors, at least one
+    before and one after them in raster order. Every other one draws u = 0
+    once while aligned. With m > 0 and `anti_half` the others start
+    anti-aligned; with m < 0 every site starts anti-aligned. Returns the
+    table, mu, the start spins, the picked sites and the (sweep, site) zero
+    draws of the picks.
+    """
+    nb = build_neighbor_graph(build_regular_mesh(26, 17, 1.6, 1.0))
+    d = len(nb)
+    gen = np.random.default_rng(21)
+    drive = gen.choice([-1.0, 1.0], d) * gen.uniform(30.0, 60.0, d)
+    busy = np.zeros(d, dtype=bool)
+    picks = []
+    for f in gen.permutation(d):
+        row = nb[f][nb[f] >= 0]
+        if row.min() < f < row.max() and not busy[f] and not busy[row].any():
+            busy[f] = busy[row] = True
+            picks.append(f)
+        if len(picks) == 40:
+            break
+    picks = np.array(picks)
+    assert len(picks) == 40
+    weak = np.concatenate([nb[f][nb[f] >= 0] for f in picks])
+    drive[weak] = gen.uniform(-1.0, 1.0, len(weak))
+    mu = drive / m
+    phi = data_side_spins(mu)
+    if m > 0 and anti_half:
+        phi[picks[::2]] = -phi[picks[::2]]
+    zeros = [(3 + 7 * i, f) for i, f in enumerate(picks[1::2])]
+    return nb, mu, phi, picks, zeros
+
+
 class TestGibbsSweep:
     def test_kernels_bitwise_identical(self, rng):
+        # one sweep of estimate_phi_mean at a time, with m = s2 = 1 so that
+        # the drive is mu, against the one-site-at-a-time scan
         d = 300
         nb = awkward_table(rng, d)
-        phi_w = rng.choice(np.array([-1, 1], dtype=np.int8), d)
-        phi_r = phi_w.copy()
-        st = new_state(nb)
+        phi_r = rng.choice(np.array([-1, 1], dtype=np.int8), d)
+        st = new_state(nb, m=1.0, s2=1.0)
+        st.phi[:] = phi_r
         for beta in (-0.7, 0.0, 1.3):
+            st.beta = beta
             for _ in range(20):
                 drive = rng.standard_normal(d)
-                log_u = np.log(rng.random(d))
-                spins = np.append(phi_w.astype(float), 0.0)
-                sweep_spins(spins, st.levels, drive, beta, log_u)
-                phi_w[:] = spins[:d]
-                raster_sweep(phi_r, nb, drive, beta, log_u)
-                assert np.array_equal(phi_w, phi_r)
+                u = rng.random(d)
+                pm = estimate_phi_mean(st, drive, 1, 0, FixedDraws(u), update_beta=False)
+                raster_sweep(phi_r, nb, drive, beta, np.log(u))
+                assert np.array_equal(st.phi, phi_r)
+                assert np.array_equal(pm, phi_r)
 
     @pytest.mark.parametrize("nx,ny", [(26, 17), (52, 34)])
     def test_estimate_matches_raster_replay(self, nx, ny):
         nb = build_neighbor_graph(build_regular_mesh(nx, ny, 1.6, 1.0))
         mu = 0.3 * np.random.default_rng(5).standard_normal(len(nb))
-        st = new_state(nb, mu)
-        rng = np.random.default_rng(777)
-        pm = estimate_phi_mean(st, mu, 500, 100, rng)
-        rng_r = np.random.default_rng(777)
-        pm_r, phi_r, beta_r = raster_phi_mean(nb, mu, 500, 100, rng_r)
-        assert np.array_equal(pm, pm_r)
-        assert np.array_equal(st.phi, phi_r)
-        assert st.beta == beta_r
-        assert rng.bit_generator.state == rng_r.bit_generator.state
+        _, same = replay_chain(nb, mu, 500, 100, lambda: np.random.default_rng(777))
+        assert same
 
-    @pytest.mark.parametrize("table,beta", [("mesh", -1.9), ("mesh", 1.9), ("awkward", 1.9)])
-    def test_active_sweep_matches_raster_replay(self, table, beta):
+    def planted_replay(self, table, beta, update_beta):
         # strong drives freeze most sites; edge sites draw u = 2^-53 every
         # sweep, so those just inside the edge flip while beta is near a bound;
         # strong sites start anti-aligned, and frozen sites draw u = 0
@@ -249,28 +248,67 @@ class TestGibbsSweep:
         drive, edge = planted_drive(nb, rng)
         mu = drive / MODE_LOCATION
         strong = np.flatnonzero(np.abs(drive) > 30.0)
-        phi = np.where(mu >= 0.0, 1, -1).astype(np.int8)
+        phi = data_side_spins(mu)
         anti = rng.choice(strong, 10, replace=False)
         phi[anti] = -phi[anti]
         zeros = [(150, strong[0]), (151, strong[1]), (300, anti[0])]
-
-        st = new_state(nb, mu, beta=beta)
-        st.phi[:] = phi
-        stream = PlantedUniforms(np.random.default_rng(9), d, edge, zeros)
-        pm = estimate_phi_mean(st, mu, 500, 100, stream)
-        flips = np.zeros(d, dtype=int)
-        stream_r = PlantedUniforms(np.random.default_rng(9), d, edge, zeros)
-        pm_r, phi_r, beta_r = raster_phi_mean(nb, mu, 500, 100, stream_r,
-                                              phi=phi, beta=beta, flips=flips)
-        assert np.array_equal(pm, pm_r)
-        assert np.array_equal(st.phi, phi_r)
-        assert st.beta == beta_r
-        assert stream.rng.bit_generator.state == stream_r.rng.bit_generator.state
+        trace = []
+        _, same = replay_chain(
+            nb, mu, 500, 100, lambda: PlantedUniforms(np.random.default_rng(9), d, edge, zeros),
+            phi=phi, beta=beta, update_beta=update_beta, trace=trace)
+        assert same
+        flips = flip_counts(phi, trace)
         # the replay reaches the edge from inside, never from outside
         gap = np.abs(drive[edge]) - FLIP_EDGE
         assert flips[edge[np.isclose(gap, -0.02)]].sum() > 0
         assert flips[edge[gap > 0.0]].sum() == 0
         assert flips[strong].sum() >= 10 + 2 * len(zeros)
+        return nb, drive, edge, gap, flips
+
+    @pytest.mark.parametrize("table,beta", [("mesh", -1.9), ("mesh", 1.9), ("awkward", 1.9)])
+    def test_active_sweep_matches_raster_replay(self, table, beta):
+        self.planted_replay(table, beta, update_beta=True)
+
+    @pytest.mark.parametrize("table", ["mesh", "awkward"])
+    @pytest.mark.parametrize("beta", BETA_BOUNDS)
+    def test_box_edge_matches_raster_replay(self, table, beta):
+        # at |beta| = 2, |beta s| reaches the 2 deg the frozen set assumes:
+        # a site with three aligned neighbor entries whose drive has beta's
+        # sign flips on every 2^-53 draw just inside the edge
+        nb, drive, edge, gap, flips = self.planted_replay(table, beta, update_beta=False)
+        deg = np.count_nonzero(nb[edge] >= 0, axis=1)
+        tight = np.isclose(gap, -0.02) & (deg == 3) & (np.sign(drive[edge]) == np.sign(beta))
+        assert tight.any() and flips[edge[tight]].min() > 0
+
+    @pytest.mark.parametrize("m,anti_half", [(MODE_LOCATION, True), (MODE_LOCATION, False),
+                                             (-MODE_LOCATION, False)],
+                             ids=["m>0", "m>0-aligned", "m<0"])
+    def test_frozen_flips_match_raster_replay(self, m, anti_half):
+        # a frozen site's candidate neighbors before it in raster order read
+        # its new value, those after it its old one; at each of ZERO_SWEEPS
+        # every site draws u = 0 and flips, so every frozen site is
+        # anti-aligned at that sweep's beta move
+        nb, mu, phi, picks, zeros = split_fixture(m, anti_half)
+        d = len(nb)
+        every = [(t, j) for t in ZERO_SWEEPS for j in range(d)]
+        trace = []
+        _, same = replay_chain(
+            nb, mu, 200, 50,
+            lambda: PlantedUniforms(np.random.default_rng(22), d, np.array([], int), zeros + every),
+            m=m, phi=phi, beta=-1.5, trace=trace)
+        assert same
+        states = np.array([phi] + [s for s, _ in trace])
+        for t in ZERO_SWEEPS:
+            assert np.array_equal(states[t + 1], -states[t])
+        drive = m * mu
+        for f in picks:
+            row = nb[f][nb[f] >= 0]
+            assert row.min() < f < row.max() and np.all(np.abs(drive[row]) < 1.0)
+        anti = picks[phi[picks] * drive[picks] < 0]
+        assert len(anti) == (len(picks) if m < 0 else len(picks[::2]) if anti_half else 0)
+        assert np.all(states[1, anti] == -phi[anti])
+        for t, f in zeros:
+            assert states[t, f] * drive[f] > 0 and states[t + 1, f] * drive[f] < 0
 
     def test_all_frozen_matches_raster_replay(self):
         # no candidates: nothing is swept or scored, and from beta = 1.95
@@ -279,19 +317,11 @@ class TestGibbsSweep:
         d = len(nb)
         gen = np.random.default_rng(3)
         mu = gen.choice([-1.0, 1.0], d) * gen.uniform(FLIP_EDGE + 0.1, 60.0, d) / MODE_LOCATION
-        st = new_state(nb, mu, beta=1.95)
-        rng = np.random.default_rng(12)
-        pm = estimate_phi_mean(st, mu, 500, 100, rng)
-        flips = np.zeros(d, dtype=int)
-        proposals = []
-        rng_r = np.random.default_rng(12)
-        pm_r, phi_r, beta_r = raster_phi_mean(nb, mu, 500, 100, rng_r, beta=1.95,
-                                              flips=flips, proposals=proposals)
-        assert np.array_equal(pm, pm_r)
-        assert np.array_equal(st.phi, phi_r)
-        assert st.beta == beta_r
-        assert rng.bit_generator.state == rng_r.bit_generator.state
-        assert flips.sum() == 0
+        trace, proposals = [], []
+        _, same = replay_chain(nb, mu, 500, 100, lambda: np.random.default_rng(12),
+                               beta=1.95, trace=trace, proposals=proposals)
+        assert same
+        assert flip_counts(data_side_spins(mu), trace).sum() == 0
         assert max(proposals) > BETA_BOUNDS[1]
 
     def test_isolated_candidates_match_raster_replay(self):
@@ -310,28 +340,25 @@ class TestGibbsSweep:
                 weak.append(j)
         drive[weak] = gen.uniform(-1.0, 1.0, len(weak))
         mu = drive / MODE_LOCATION
-        st = new_state(nb, mu, beta=-1.0)
-        rng = np.random.default_rng(13)
-        pm = estimate_phi_mean(st, mu, 500, 100, rng)
-        flips = np.zeros(d, dtype=int)
-        rng_r = np.random.default_rng(13)
-        pm_r, phi_r, beta_r = raster_phi_mean(nb, mu, 500, 100, rng_r, beta=-1.0,
-                                              flips=flips)
-        assert np.array_equal(pm, pm_r)
-        assert np.array_equal(st.phi, phi_r)
-        assert st.beta == beta_r
-        assert rng.bit_generator.state == rng_r.bit_generator.state
+        trace = []
+        _, same = replay_chain(nb, mu, 500, 100, lambda: np.random.default_rng(13),
+                               beta=-1.0, trace=trace)
+        assert same
+        flips = flip_counts(data_side_spins(mu), trace)
         assert len(weak) >= 20 and flips[weak].min() > 0
         assert flips.sum() == flips[weak].sum()
 
     def test_spins_stay_binary(self, rng):
         mesh = build_regular_mesh(6, 4, 1.0, 1.0)
-        st = new_state(build_neighbor_graph(mesh))
+        nb = build_neighbor_graph(mesh)
         mu = rng.standard_normal(mesh.n_elements)
-        for _ in range(50):
-            gibbs_sweep(st, mu, rng)
-            assert set(np.unique(st.phi)) <= {-1, 1}
-            assert -2.0 <= st.beta <= 2.0
+        trace = []
+        _, same = replay_chain(nb, mu, 50, 0, lambda: copy.deepcopy(rng),
+                               phi=np.ones(mesh.n_elements, dtype=np.int8), trace=trace)
+        assert same
+        for phi, beta in trace:
+            assert set(np.unique(phi)) <= {-1, 1}
+            assert -2.0 <= beta <= 2.0
 
     def test_deterministic_replay(self):
         mesh = build_regular_mesh(6, 4, 1.0, 1.0)
@@ -339,13 +366,12 @@ class TestGibbsSweep:
         mu = np.linspace(-1, 1, mesh.n_elements)
         out = []
         for _ in range(2):
-            st = new_state(nb, mu)
-            rng = np.random.default_rng(99)
-            for _ in range(20):
-                gibbs_sweep(st, mu, rng)
-            out.append((st.phi.copy(), st.beta))
+            ref, same = replay_chain(nb, mu, 20, 0, lambda: np.random.default_rng(99))
+            assert same
+            out.append(ref)
         assert np.array_equal(out[0][0], out[1][0])
-        assert out[0][1] == out[1][1]
+        assert np.array_equal(out[0][1], out[1][1])
+        assert out[0][2] == out[1][2]
 
     def test_zero_coupling_bernoulli_marginal(self):
         # at beta = 0 sites are independent with P(+1) = sigmoid(2 m mu / s2)
@@ -353,14 +379,12 @@ class TestGibbsSweep:
         nb = build_neighbor_graph(mesh)
         m, s2 = 1.3, 2.0
         mu = np.linspace(-1.2, 1.2, mesh.n_elements)
-        st = new_state(nb, mu, m=m, s2=s2, beta=0.0)
-        rng = np.random.default_rng(11)
         sweeps = 20_000
-        acc = np.zeros(mesh.n_elements)
-        for _ in range(sweeps):
-            gibbs_sweep(st, mu, rng, update_beta=False)
-            acc += st.phi > 0
-        p_emp = acc / sweeps
+        trace = []
+        _, same = replay_chain(nb, mu, sweeps, 0, lambda: np.random.default_rng(11),
+                               m=m, s2=s2, update_beta=False, trace=trace)
+        assert same
+        p_emp = np.sum([phi > 0 for phi, _ in trace], axis=0) / sweeps
         p_true = 1.0 / (1.0 + np.exp(-2.0 * m * mu / s2))
         se = np.sqrt(p_true * (1 - p_true) / sweeps)
         assert np.all(np.abs(p_emp - p_true) <= 4 * np.maximum(se, 1e-4))
@@ -368,15 +392,14 @@ class TestGibbsSweep:
     def test_strong_negative_coupling_aligns_neighbors(self):
         mesh = build_regular_mesh(10, 5, 1.0, 0.5)
         nb = build_neighbor_graph(mesh)
-        st = new_state(nb, None, beta=-2.0)
         mu = np.zeros(mesh.n_elements)
-        rng = np.random.default_rng(4)
-        corr = []
-        for t in range(4000):
-            gibbs_sweep(st, mu, rng, update_beta=False)
-            if t >= 500:
-                pairs = [(j, k) for j in range(mesh.n_elements) for k in nb[j] if k >= 0]
-                corr.append(np.mean([st.phi[j] * st.phi[k] for j, k in pairs]))
+        trace = []
+        _, same = replay_chain(nb, mu, 4000, 0, lambda: np.random.default_rng(4),
+                               beta=-2.0, update_beta=False, trace=trace)
+        assert same
+        j, k = np.nonzero(nb >= 0)
+        states = np.array([phi for phi, _ in trace[500:]], dtype=float)
+        corr = np.mean(states[:, j] * states[:, nb[j, k]], axis=1)
         assert np.mean(corr) > 0.9
 
 
@@ -441,8 +464,6 @@ class TestEstimatePhiMean:
         st = replace(new_state(build_neighbor_graph(mesh), mu), beta=beta)
         with pytest.raises(ValueError):
             estimate_phi_mean(st, mu, 50, 10, np.random.default_rng(0), update_beta=False)
-        with pytest.raises(ValueError):
-            gibbs_sweep(st, mu, np.random.default_rng(0), update_beta=False)
 
     def test_phi_mean_in_range(self, rng):
         mesh = build_regular_mesh(5, 3, 1.0, 1.0)
@@ -473,17 +494,16 @@ class TestStationarity:
         nb = build_neighbor_graph(mesh)
         assert mesh.n_elements == 4
         m, s2, beta = 1.0, 1.0, -0.4
-        rng = np.random.default_rng(17)
         mu = np.array([0.3, -0.2, 0.4, -0.5])
         states, p_true = self.analytic_distribution(nb, mu, m, s2, beta)
         index = {s: i for i, s in enumerate(states)}
-        st = new_state(nb, mu, m=m, s2=s2, beta=beta)
+        trace = []
+        _, same = replay_chain(nb, mu, 100_000, 1000, lambda: np.random.default_rng(17),
+                               m=m, s2=s2, beta=beta, update_beta=False, trace=trace)
+        assert same
         counts = np.zeros(len(states))
-        sweeps = 100_000
-        for t in range(sweeps):
-            gibbs_sweep(st, mu, rng, update_beta=False)
-            if t >= 1000:
-                counts[index[tuple(st.phi)]] += 1
+        for phi, _ in trace[1000:]:
+            counts[index[tuple(phi)]] += 1
         p_emp = counts / counts.sum()
         tv = 0.5 * np.sum(np.abs(p_emp - p_true))
         assert tv <= 1e-2
