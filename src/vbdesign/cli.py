@@ -174,16 +174,12 @@ def canonical_text(cfg: RunConfig) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _fmt(x) -> str:
-    return f"{float(x):.17g}"
-
-
-def _write_csv(path, header, rows):
+def _write_csv(path, header, template, rows):
+    """`header`, then each row through the %-`template` (%d for integers,
+    %.17g for floats, which prints a double as f"{x:.17g}" does)."""
     with open(path, "w") as fh:
         fh.write(header + "\n")
-        for row in rows:
-            fh.write(",".join(str(c) if isinstance(c, (int, np.integer)) else _fmt(c)
-                              for c in row) + "\n")
+        fh.writelines(template % row for row in rows)
 
 
 def build_problem(cfg: RunConfig):
@@ -254,10 +250,12 @@ def run(cfg: RunConfig, stage: str = "all", outdir=None) -> RunArtifacts:
 
     _write_csv(out / "map_trace.csv",
                "iter,F_mu,forward_calls,step_norm_theta,step_norm_z,constraint_c",
+               "%d,%.17g,%d,%.17g,%.17g,%.17g\n",
                [(r["iter"], r["F_mu"], r["forward_calls"], r["step_norm_theta"],
                  r["step_norm_z"], r["constraint_c"]) for r in mres.trace])
-    _write_csv(out / "mu_z.csv", "j,value", list(enumerate(mres.mu_z)))
-    _write_csv(out / "mu_theta.csv", "element_id,value", list(enumerate(mres.mu_theta)))
+    _write_csv(out / "mu_z.csv", "j,value", "%d,%.17g\n", enumerate(mres.mu_z.tolist()))
+    _write_csv(out / "mu_theta.csv", "element_id,value", "%d,%.17g\n",
+               enumerate(mres.mu_theta.tolist()))
     if mres.phi_mean is not None:
         export_element_field(mres.phi_mean, out / "phi_mean.csv")
 
@@ -279,22 +277,22 @@ def run(cfg: RunConfig, stage: str = "all", outdir=None) -> RunArtifacts:
         art.vbem = vres
         timings["vbem"] = time.perf_counter() - t0
 
-        _write_csv(out / "f_trace.csv", "iter,F",
+        _write_csv(out / "f_trace.csv", "iter,F", "%d,%.17g\n",
                    [(i + 1, fw) for i, (_, fw) in enumerate(vres.F_history)])
         spectrum = vb.sensitive_directions(vres.state, vres.params)
         art.spectrum = spectrum
-        _write_csv(out / "spectrum.csv", "j,sigma2_j",
+        _write_csv(out / "spectrum.csv", "j,sigma2_j", "%d,%.17g\n",
                    [(j + 1, s2) for j, s2 in enumerate(spectrum.sigma2)])
         for j in range(spectrum.W_hat.shape[1]):
             _write_csv(out / f"direction_{j + 1:02d}.csv", "component_id,value",
-                       list(enumerate(spectrum.W_hat[:, j])))
+                       "%d,%.17g\n", enumerate(spectrum.W_hat[:, j].tolist()))
         _save_state(out / "state.npz", vres)
         for lv in cfg.sample_levels:
             zs = vb.sample_designs(vres.params, vres.state, lv, cfg.sample_count,
                                    rng_designs)
-            rows = [(i, j, zs[i, j]) for i in range(zs.shape[0])
-                    for j in range(zs.shape[1])]
-            _write_csv(out / f"designs_level_{lv:g}.csv", "sample,component_id,value", rows)
+            _write_csv(out / f"designs_level_{lv:g}.csv", "sample,component_id,value",
+                       "%d,%d,%.17g\n", ((i, j, v) for i, row in enumerate(zs.tolist())
+                                          for j, v in enumerate(row)))
 
         if level >= 3:
             t0 = time.perf_counter()
@@ -319,7 +317,8 @@ def run(cfg: RunConfig, stage: str = "all", outdir=None) -> RunArtifacts:
         "map_converged": mres.converged,
         **({} if mres.phi_mean is None else {
             "map_phi_estimates": mres.phi_estimates,
-            "map_gibbs_sweeps": mres.phi_estimates * cfg.topo_prior_sweeps}),
+            "map_gibbs_sweeps": mres.phi_estimates * cfg.topo_prior_sweeps,
+            "map_spin_passes": mres.spin_passes}),
         **({} if art.vbem is None else {"vbem_iterations": art.vbem.iterations,
                                        "vbem_converged": art.vbem.converged}),
         **{f"time_{k}": f"{v:.3f}" for k, v in timings.items()},

@@ -92,6 +92,7 @@ class MapResult:
     iterations: int = 0
     rejected_trials: int = 0
     phi_estimates: int = 0      # topo_prior.estimate_phi_mean calls
+    spin_passes: int = 0        # their Jacobi passes, summed
 
 
 def gn_step(iterate: MapIterate, prior: PriorConfig, tau_Q: float,
@@ -179,18 +180,20 @@ def optimize_map(model, prior: PriorConfig, options: MapOptions = None,
     chain = topo_prior.new_state(topo_prior.build_neighbor_graph(model.mesh),
                                  m=opts.prior_m, s2=opts.prior_s2) if constrained else None
 
-    phi_estimates = 0
+    phi_estimates = spin_passes = 0
 
     def phi_estimate(mz):
-        # fresh chain (spins from sign(mz), beta = 0) and fixed stream each
-        # call: <phi> is a deterministic function of mu_z, so late-iteration
-        # steps are noise-free
-        nonlocal phi_estimates
+        # fresh chain (spins from sign(mz), beta = 0, no passes) and fixed
+        # stream each call: <phi> is a deterministic function of mu_z, so
+        # late-iteration steps are noise-free
+        nonlocal phi_estimates, spin_passes
         phi_estimates += 1
         rng = np.random.default_rng(opts.gibbs_seed)
         st = replace(chain, phi=topo_prior.data_side_spins(mz))
-        return topo_prior.estimate_phi_mean(
+        phi_mean = topo_prior.estimate_phi_mean(
             st, mz, opts.gibbs_sweeps, opts.gibbs_burn_in, rng)
+        spin_passes += st.passes
+        return phi_mean
 
     def f_mu(u, v_w, mz, phi_mean):
         r = model.u_target - u
@@ -346,7 +349,7 @@ def optimize_map(model, prior: PriorConfig, options: MapOptions = None,
                      stalled, grad_norm, F_cur, phi_mean,
                      residual=model.u_target - u, G_theta=Gt, G_z=Gz,
                      iterations=len(trace) - 1, rejected_trials=rejected_total,
-                     phi_estimates=phi_estimates)
+                     phi_estimates=phi_estimates, spin_passes=spin_passes)
 
 
 def _anderson_point(history):

@@ -493,8 +493,6 @@ def export_mesh(mesh: Mesh, path):
 
 
 def export_element_field(values, path):
-    values = np.asarray(values)
     with open(path, "w") as fh:
         fh.write("element_id,value\n")
-        for e, v in enumerate(values):
-            fh.write(f"{e},{v:.17g}\n")
+        fh.writelines("%d,%.17g\n" % row for row in enumerate(np.asarray(values).tolist()))

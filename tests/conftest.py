@@ -1,10 +1,14 @@
+import collections
+import functools
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
 
+from vbdesign.mesh_fem import build_regular_mesh
 from vbdesign.random_field import FieldPrior
-from vbdesign.topo_prior import (BETA_BOUNDS, BETA_STEP, MODE_LOCATION, estimate_phi_mean,
-                                 new_state)
+from vbdesign.topo_prior import (BETA_BOUNDS, BETA_STEP, MODE_LOCATION, build_neighbor_graph,
+                                 estimate_phi_mean, new_state)
 from vbdesign.vb import ModelParams, PriorConfig, initial_W
 
 
@@ -111,10 +115,11 @@ def dense_bound(cov, tau_z, params, prior, tau_Q, residual, G_theta, G_z, f=None
 
 
 # ---------------------------------------------------------------------------
-# Raster reference of the spin chain. The package sweeps level by level on
-# the sites that can still flip; these helpers offer every site a flip one
-# at a time in index order and score the beta move on all rows, drawing the
-# same stream, for the oracle and statistical tests.
+# Raster reference of the spin chain. The package runs Jacobi passes to the
+# raster sweep's fixed point on the sites that can still flip; these helpers
+# offer every site a flip one at a time in index order and score the beta
+# move on all rows, drawing the same stream, for the oracle and statistical
+# tests.
 # ---------------------------------------------------------------------------
 
 def raster_sweep(phi, neighbors, drive, beta, log_u):
@@ -167,6 +172,30 @@ def raster_phi_mean(neighbors, mu_z, sweeps, burn_in, rng, m=MODE_LOCATION, s2=1
     return acc / (sweeps - burn_in), phi, beta
 
 
+def sweep_levels(neighbors):
+    """Level of each site in the raster scan's dependency order.
+
+    For i < j with i listed by j or j listed by i, level(j) > level(i), and
+    each level is as low as that allows (longest-path layering), so the
+    longest chain has max level + 1 sites, and a sweep of estimate_phi_mean
+    takes at most that many passes. Found by relaxing all pairs at once
+    until no level grows.
+    """
+    d, width = neighbors.shape
+    rows = np.repeat(np.arange(d), width)
+    cols = neighbors.ravel()
+    keep = (cols >= 0) & (cols != rows)
+    lo = np.minimum(rows[keep], cols[keep])
+    hi = np.maximum(rows[keep], cols[keep])
+    level = np.zeros(d, dtype=np.intp)
+    while True:
+        cand = level[lo] + 1
+        late = cand > level[hi]
+        if not late.any():
+            return level
+        np.maximum.at(level, hi[late], cand[late])
+
+
 def generator_state(gen):
     """Bit-generator state of a Generator or of a stand-in wrapping one as `rng`."""
     return getattr(gen, "rng", gen).bit_generator.state
@@ -191,6 +220,25 @@ def replay_chain(neighbors, mu_z, sweeps, burn_in, make_rng, m=MODE_LOCATION, s2
     same = (np.array_equal(pm, ref[0]) and np.array_equal(st.phi, ref[1])
             and st.beta == ref[2] and generator_state(rng) == generator_state(ref_rng))
     return ref, same
+
+
+@functools.cache
+def four_site_chain():
+    """The 100,000-sweep chain on the 4-element path (2x1 grid), run once per session.
+
+    It draws from seed 17 at beta = -0.4 with no beta move, through
+    replay_chain. Returns the table, mu, m, s2, beta, the visits of each
+    spin state (tuples of +-1) after the 1000 burn-in sweeps, and whether
+    estimate_phi_mean reproduced the raster reference.
+    """
+    nb = build_neighbor_graph(build_regular_mesh(2, 1, 1.0, 0.5))
+    mu = np.array([0.3, -0.2, 0.4, -0.5])
+    m, s2, beta = 1.0, 1.0, -0.4
+    trace = []
+    _, same = replay_chain(nb, mu, 100_000, 1000, lambda: np.random.default_rng(17), m=m,
+                           s2=s2, beta=beta, update_beta=False, trace=trace)
+    visits = collections.Counter(tuple(phi.tolist()) for phi, _ in trace[1000:])
+    return nb, mu, m, s2, beta, visits, same
 
 
 @pytest.fixture

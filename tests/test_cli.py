@@ -8,7 +8,7 @@ import pytest
 from vbdesign import cli, problems, topo_prior, vb
 from vbdesign.cli import ConfigError, build_problem, parse_config, run
 
-from conftest import prior_covariance, theta_block
+from conftest import prior_covariance, raster_phi_mean, theta_block
 
 SMALL_HEAT = """
 # compact heat setup for fast runs
@@ -32,6 +32,43 @@ validate.M = 30
 map.max_iter = 120
 seed = 3
 """
+
+TOPO_13x9 = """
+problem = topo
+mesh.nx = 13
+mesh.ny = 9
+vb.d_y = 4
+topo_prior.sweeps = 150
+topo_prior.burn_in = 40
+validate.M = 30
+sample.count = 3
+seed = 4
+"""
+
+
+def raster_estimate(state, mu_z, sweeps, burn_in, rng, update_beta=True):
+    """estimate_phi_mean through the raster reference, which counts no passes."""
+    pm, state.phi[:], state.beta = raster_phi_mean(
+        state.neighbors, np.asarray(mu_z, dtype=float), sweeps, burn_in, rng, state.m,
+        state.s2, state.phi, state.beta, update_beta)
+    state.phi_mean = pm
+    return pm.copy()
+
+
+def artifacts(out, skip=("time_",)):
+    """A run's artifacts by file name: bytes, the manifest's lines without
+    those that start with `skip`, and state.npz's arrays."""
+    found = {}
+    for path in sorted(out.iterdir()):
+        if path.name == "manifest.txt":
+            found[path.name] = [line for line in path.read_text().splitlines()
+                                if not line.startswith(skip)]
+        elif path.suffix == ".npz":
+            with np.load(path) as z:
+                found[path.name] = {k: (z[k].dtype, z[k].shape, z[k].tobytes()) for k in z}
+        else:
+            found[path.name] = path.read_bytes()
+    return found
 
 
 class TestParseConfig:
@@ -206,6 +243,51 @@ class TestRunPipeline:
         assert int(man["map_gibbs_sweeps"]) == 150 * len(calls)
         heat_man = (heat_run[0] / "manifest.txt").read_text()
         assert "map_phi_estimates" not in heat_man and "map_gibbs_sweeps" not in heat_man
+
+    def test_manifest_counts_spin_passes(self, heat_run, tmp_path, monkeypatch):
+        # each call adds its Jacobi passes to its state, at least one per
+        # sweep with candidates and none without; the map stage sums them
+        passes = []
+
+        def counted(state, *args, **kwargs):
+            before = state.passes
+            out = estimate(state, *args, **kwargs)
+            passes.append(state.passes - before)
+            return out
+        estimate = topo_prior.estimate_phi_mean
+        monkeypatch.setattr(topo_prior, "estimate_phi_mean", counted)
+        art = run(parse_config(SMALL_TOPO), stage="map", outdir=tmp_path)
+        man = dict(line.split(" = ") for line in
+                   (tmp_path / "manifest.txt").read_text().splitlines())
+        assert len(passes) == art.map_result.phi_estimates
+        assert all(p == 0 or p >= 150 for p in passes)
+        assert art.map_result.spin_passes == sum(passes) > 0
+        assert int(man["map_spin_passes"]) == sum(passes)
+        assert "map_spin_passes" not in (heat_run[0] / "manifest.txt").read_text()
+
+    def test_topo_rerun_matches_raster_chain(self, tmp_path, monkeypatch):
+        # a rerun writes the same artifacts apart from the time_ lines, and so
+        # does a run whose spin chain is the raster reference, apart from the
+        # pass count that only the package chain keeps
+        cfg = parse_config(TOPO_13x9)
+        run(cfg, outdir=tmp_path / "a")
+        run(cfg, outdir=tmp_path / "b")
+        monkeypatch.setattr(topo_prior, "estimate_phi_mean", raster_estimate)
+        run(cfg, outdir=tmp_path / "raster")
+        first = artifacts(tmp_path / "a")
+        assert {"state.npz", "phi_mean.csv", "validation.txt"} <= set(first)
+        assert artifacts(tmp_path / "b") == first
+        skip = ("time_", "map_spin_passes")
+        assert artifacts(tmp_path / "raster", skip) == artifacts(tmp_path / "a", skip)
+
+    def test_csv_template_prints_like_format_spec(self, tmp_path):
+        # a row's %-template prints each double as f"{x:.17g}" did, signed
+        # zeros, infinities, NaN and subnormals included
+        vals = [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -2.2250738585072014e-308,
+                1.0 / 3.0, -1e300, 123456789.0, *np.random.default_rng(1).standard_normal(200)]
+        cli._write_csv(tmp_path / "v.csv", "j,value", "%d,%.17g\n", enumerate(vals))
+        expected = "j,value\n" + "".join(f"{j},{float(v):.17g}\n" for j, v in enumerate(vals))
+        assert (tmp_path / "v.csv").read_text() == expected
 
     def test_topo_pipeline(self, tmp_path):
         cfg = parse_config(SMALL_TOPO)

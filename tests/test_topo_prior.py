@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 import scipy.stats
 
-from conftest import raster_sweep, replay_chain
+from conftest import four_site_chain, raster_sweep, replay_chain, sweep_levels
 from vbdesign.mesh_fem import build_regular_mesh
 from vbdesign.topo_prior import (
     BETA_BOUNDS,
@@ -17,10 +17,8 @@ from vbdesign.topo_prior import (
     data_side_spins,
     estimate_phi_mean,
     grad_log_prior_mu_z,
-    level_order,
     log_prior_mu_z,
     new_state,
-    sweep_levels,
 )
 
 
@@ -131,15 +129,12 @@ def awkward_table(rng, d=300):
 
 
 class TestSweepLevels:
+    # the longest-chain reference that bounds a sweep's passes
     def check_schedule(self, nb):
         level = sweep_levels(nb)
-        order, ends = level_order(nb)
-        assert sorted(order.tolist()) == list(range(len(nb)))
-        for lo, hi in zip([0] + ends, ends):
-            sites = order[lo:hi]
-            members = set(sites.tolist())
-            assert len(set(level[sites].tolist())) == 1
-            for j in sites:
+        for lv in range(level.max() + 1):
+            members = set(np.flatnonzero(level == lv).tolist())
+            for j in members:
                 assert not members & {int(k) for k in nb[j] if k >= 0 and k != j}
         for j in range(len(nb)):
             for k in nb[j]:
@@ -323,6 +318,39 @@ class TestGibbsSweep:
         assert same
         assert flip_counts(data_side_spins(mu), trace).sum() == 0
         assert max(proposals) > BETA_BOUNDS[1]
+        st = new_state(nb, mu, beta=1.95)
+        estimate_phi_mean(st, mu, 50, 10, np.random.default_rng(12))
+        assert st.passes == 0
+
+    def test_flip_travels_whole_chain(self):
+        # a ring in raster order with zero drive at beta = -2, all +1 but the
+        # last site: site 0 sits between anti-aligned neighbors (s = 0) and
+        # flips, and then each later site flips because the one before it
+        # did, so the first sweep's flip travels the whole chain, one site
+        # per pass
+        d = 40
+        nb = np.array([[(j - 1) % d, (j + 1) % d, -1] for j in range(d)], dtype=np.int32)
+        mu = np.zeros(d)
+        phi = np.ones(d, dtype=np.int8)
+        phi[-1] = -1
+        longest = sweep_levels(nb).max() + 1
+        assert longest == d
+        trace = []
+        _, same = replay_chain(nb, mu, 300, 50, lambda: np.random.default_rng(31), phi=phi,
+                               beta=-2.0, trace=trace)
+        assert same
+        assert np.all(trace[0][0] == -1)
+        # the same chain one sweep per call, for each sweep's passes
+        st = new_state(nb, mu, beta=-2.0)
+        st.phi[:] = phi
+        rng = np.random.default_rng(31)
+        passes = []
+        for spins, beta in trace:
+            before = st.passes
+            estimate_phi_mean(st, mu, 1, 0, rng)
+            passes.append(st.passes - before)
+            assert np.array_equal(st.phi, spins) and st.beta == beta
+        assert passes[0] >= d - 1 and max(passes) <= longest
 
     def test_isolated_candidates_match_raster_replay(self):
         # weak sites whose neighbors are all frozen: their rows list no
@@ -490,20 +518,11 @@ class TestStationarity:
 
     def test_four_element_chain_total_variation(self):
         # 2x1 grid: 4 triangles in a path; exhaustive 16-state comparison
-        mesh = build_regular_mesh(2, 1, 1.0, 0.5)
-        nb = build_neighbor_graph(mesh)
-        assert mesh.n_elements == 4
-        m, s2, beta = 1.0, 1.0, -0.4
-        mu = np.array([0.3, -0.2, 0.4, -0.5])
+        nb, mu, m, s2, beta, visits, same = four_site_chain()
+        assert len(nb) == 4
         states, p_true = self.analytic_distribution(nb, mu, m, s2, beta)
-        index = {s: i for i, s in enumerate(states)}
-        trace = []
-        _, same = replay_chain(nb, mu, 100_000, 1000, lambda: np.random.default_rng(17),
-                               m=m, s2=s2, beta=beta, update_beta=False, trace=trace)
         assert same
-        counts = np.zeros(len(states))
-        for phi, _ in trace[1000:]:
-            counts[index[tuple(phi)]] += 1
+        counts = np.array([visits[s] for s in states], dtype=float)
         p_emp = counts / counts.sum()
         tv = 0.5 * np.sum(np.abs(p_emp - p_true))
         assert tv <= 1e-2
