@@ -15,12 +15,14 @@ import argparse
 import hashlib
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 
-from . import map_opt, topo_prior, validation, vb
+from . import map_opt, problems, topo_prior, validation, vb
+from .map_opt import MapOptions
 from .mesh_fem import export_element_field, export_mesh
 from .problems import constraint_value_and_gradient, make_heat_problem, make_topo_problem
 
@@ -29,106 +31,75 @@ class ConfigError(ValueError):
     pass
 
 
-@dataclass
-class RunConfig:
-    """Defaults reproduce the reference settings when only the problem is named."""
-
-    problem: str = "heat_flux"
-    mesh_nx: int = None
-    mesh_ny: int = None
-    field_sigma_g2: float = 0.223
-    field_x0: float = 0.1
-    field_mu_theta0: float = -0.112
-    utility_tau_Q_inv: float = None
-    constraint_VF: float = 0.4
-    constraint_eps_c2: float = 1e-10
-    vb_d_y: int = 10
-    vb_tau_y0_inv: float = 1e4
-    vb_eps2: float = 1e-10
-    map_tol: float = 1e-5
-    map_max_iter: int = 220
-    map_c_z0: float = 100.0
-    map_gibbs_seed: int = 777
-    topo_prior_m: float = topo_prior.MODE_LOCATION
-    topo_prior_s2: float = 1.0
-    topo_prior_sweeps: int = 500
-    topo_prior_burn_in: int = 100
-    validate_M: int = 500
-    sample_levels: tuple = (0.95, 0.75, 0.5, 0.25)
-    sample_count: int = 8
-    seed: int = 0
-    out: str = "out"
-
-
-_KEYS = {
-    "problem": ("problem", str),
-    "mesh.nx": ("mesh_nx", int),
-    "mesh.ny": ("mesh_ny", int),
-    "field.sigma_g2": ("field_sigma_g2", float),
-    "field.x0": ("field_x0", float),
-    "field.mu_theta0": ("field_mu_theta0", float),
-    "utility.tau_Q_inv": ("utility_tau_Q_inv", float),
-    "constraint.VF": ("constraint_VF", float),
-    "constraint.eps_c2": ("constraint_eps_c2", float),
-    "vb.d_y": ("vb_d_y", int),
-    "vb.tau_y0_inv": ("vb_tau_y0_inv", float),
-    "vb.eps2": ("vb_eps2", float),
-    "map.tol": ("map_tol", float),
-    "map.max_iter": ("map_max_iter", int),
-    "map.c_z0": ("map_c_z0", float),
-    "map.gibbs_seed": ("map_gibbs_seed", int),
-    "topo_prior.m": ("topo_prior_m", float),
-    "topo_prior.s2": ("topo_prior_s2", float),
-    "topo_prior.sweeps": ("topo_prior_sweeps", int),
-    "topo_prior.burn_in": ("topo_prior_burn_in", int),
-    "validate.M": ("validate_M", int),
-    "sample.levels": ("sample_levels", "levels"),
-    "sample.count": ("sample_count", int),
-    "seed": ("seed", int),
-    "out": ("out", str),
-}
+def _must_be(ok, what):
+    return ok, f"{{key}} must be {what}, got {{v!r}}"
 
 
 def _at_least(lo):
-    return (lambda v: v >= lo), f"at least {lo}"
+    return _must_be(lambda v: v >= lo, f"at least {lo}")
 
 
-_POSITIVE = (lambda v: 0.0 < v < np.inf), "positive and finite"
-_FINITE = (lambda v: bool(np.isfinite(v))), "finite"
-_FRACTION = (lambda v: 0.0 < v < 1.0), "strictly inside (0, 1)"
+_POSITIVE = _must_be(lambda v: 0.0 < v < np.inf, "positive and finite")
+_FINITE = _must_be(lambda v: bool(np.isfinite(v)), "finite")
+_FRACTION = _must_be(lambda v: 0.0 < v < 1.0, "strictly inside (0, 1)")
+_LEVELS = _must_be(lambda v: all(0.0 < x < 1.0 for x in v),
+                   "a list of levels strictly inside (0, 1)")
+_PROBLEM = (lambda v: v in ("heat_flux", "topo")), "unknown problem {v!r}"
 
-# admissible values per key; vb.d_y <= d_z needs the model and is checked by run
-_RANGES = {
-    "mesh.nx": _at_least(1),
-    "mesh.ny": _at_least(1),
-    "field.sigma_g2": _POSITIVE,
-    "field.x0": _POSITIVE,
-    "field.mu_theta0": _FINITE,
-    "utility.tau_Q_inv": _POSITIVE,
-    "constraint.VF": _FRACTION,
-    "constraint.eps_c2": _POSITIVE,
-    "vb.d_y": _at_least(1),
-    "vb.tau_y0_inv": _POSITIVE,
-    "vb.eps2": _POSITIVE,
-    "map.tol": _POSITIVE,
-    "map.max_iter": _at_least(1),
-    "map.c_z0": _POSITIVE,
-    "map.gibbs_seed": _at_least(0),
-    "topo_prior.m": _FINITE,
-    "topo_prior.s2": _POSITIVE,
-    "validate.M": _at_least(2),
-    "sample.levels": ((lambda v: all(0.0 < x < 1.0 for x in v)),
-                      "a list of levels strictly inside (0, 1)"),
-    "sample.count": _at_least(1),
-    "seed": _at_least(0),
-}
+
+def _key(key, default, check=None):
+    """A config key's row: its dotted name, its default and its admissible
+    values, as a predicate and the error message for a value that fails it.
+    The field's annotation is the type the value is parsed as (a tuple from
+    a comma-separated list of floats)."""
+    return field(default=default, metadata={"key": key, "check": check})
+
+
+@dataclass
+class RunConfig:
+    """Defaults reproduce the reference settings when only the problem is
+    named. A None default leaves the value to the problem's factory; vb.d_y
+    <= d_z needs the model and is checked by run."""
+
+    problem: str = _key("problem", "heat_flux", _PROBLEM)
+    mesh_nx: int = _key("mesh.nx", None, _at_least(1))
+    mesh_ny: int = _key("mesh.ny", None, _at_least(1))
+    field_sigma_g2: float = _key("field.sigma_g2", problems.FIELD_SIGMA_G2, _POSITIVE)
+    field_x0: float = _key("field.x0", problems.FIELD_X0, _POSITIVE)
+    field_mu_theta0: float = _key("field.mu_theta0", problems.FIELD_MU_THETA0, _FINITE)
+    utility_tau_Q_inv: float = _key("utility.tau_Q_inv", None, _POSITIVE)
+    constraint_VF: float = _key("constraint.VF", problems.TARGET_VF, _FRACTION)
+    constraint_eps_c2: float = _key("constraint.eps_c2", problems.EPS_C2, _POSITIVE)
+    vb_d_y: int = _key("vb.d_y", 10, _at_least(1))
+    vb_tau_y0_inv: float = _key("vb.tau_y0_inv", 1e4, _POSITIVE)
+    vb_eps2: float = _key("vb.eps2", 1e-10, _POSITIVE)
+    map_tol: float = _key("map.tol", MapOptions.tol, _POSITIVE)
+    # the CLI's own value; the library's MapOptions.max_iter is lower
+    map_max_iter: int = _key("map.max_iter", 220, _at_least(1))
+    map_c_z0: float = _key("map.c_z0", MapOptions.c_z0, _POSITIVE)
+    map_gibbs_seed: int = _key("map.gibbs_seed", MapOptions.gibbs_seed, _at_least(0))
+    topo_prior_m: float = _key("topo_prior.m", MapOptions.prior_m, _FINITE)
+    topo_prior_s2: float = _key("topo_prior.s2", MapOptions.prior_s2, _POSITIVE)
+    topo_prior_sweeps: int = _key("topo_prior.sweeps", MapOptions.gibbs_sweeps)
+    topo_prior_burn_in: int = _key("topo_prior.burn_in", MapOptions.gibbs_burn_in)
+    validate_M: int = _key("validate.M", 500, _at_least(2))
+    sample_levels: tuple = _key("sample.levels", (0.95, 0.75, 0.5, 0.25), _LEVELS)
+    sample_count: int = _key("sample.count", 8, _at_least(1))
+    seed: int = _key("seed", 0, _at_least(0))
+    out: str = _key("out", "out")
+
+
+_FIELDS = {fd.metadata["key"]: fd for fd in fields(RunConfig)}
+_TYPES = get_type_hints(RunConfig)
 
 
 def _check_ranges(cfg: RunConfig):
-    for key, (ok, what) in _RANGES.items():
-        v = getattr(cfg, _KEYS[key][0])
-        if v is not None and not ok(v):
-            raise ConfigError(f"{key} must be {what}, got {v!r}")
+    for key, fd in _FIELDS.items():
+        v = getattr(cfg, fd.name)
+        if fd.metadata["check"] is not None and v is not None:
+            ok, message = fd.metadata["check"]
+            if not ok(v):
+                raise ConfigError(message.format(key=key, v=v))
 
 
 def parse_config(text: str) -> RunConfig:
@@ -142,33 +113,29 @@ def parse_config(text: str) -> RunConfig:
         key, _, val = line.partition("=")
         key = key.strip()
         val = val.strip()
-        if key not in _KEYS:
+        if key not in _FIELDS:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
-        attr, typ = _KEYS[key]
+        attr = _FIELDS[key].name
+        typ = _TYPES[attr]
         try:
-            if typ == "levels":
-                parsed = tuple(float(v) for v in val.split(","))
-            else:
-                parsed = typ(val)
+            parsed = tuple(float(v) for v in val.split(",")) if typ is tuple else typ(val)
         except ValueError as exc:
             raise ConfigError(f"line {lineno}: bad value for {key}: {val!r}") from exc
         setattr(cfg, attr, parsed)
-    if cfg.problem not in ("heat_flux", "topo"):
-        raise ConfigError(f"unknown problem {cfg.problem!r}")
+    _check_ranges(cfg)
     if not 0 <= cfg.topo_prior_burn_in < cfg.topo_prior_sweeps:
         raise ConfigError(f"need 0 <= topo_prior.burn_in < topo_prior.sweeps, got "
                           f"{cfg.topo_prior_burn_in} and {cfg.topo_prior_sweeps}")
-    _check_ranges(cfg)
     return cfg
 
 
 def canonical_text(cfg: RunConfig) -> str:
     lines = []
-    for key, (attr, typ) in _KEYS.items():
-        v = getattr(cfg, attr)
+    for key, fd in _FIELDS.items():
+        v = getattr(cfg, fd.name)
         if v is None:
             continue
-        if typ == "levels":
+        if _TYPES[fd.name] is tuple:
             v = ",".join(f"{x:g}" for x in v)
         lines.append(f"{key} = {v}")
     return "\n".join(lines) + "\n"
@@ -183,20 +150,16 @@ def _write_csv(path, header, template, rows):
 
 
 def build_problem(cfg: RunConfig):
+    """The configured problem; a key left at None takes the factory's default."""
+    kwargs = dict(nx=cfg.mesh_nx, ny=cfg.mesh_ny, sigma_g2=cfg.field_sigma_g2,
+                  x0=cfg.field_x0, mu_theta0=cfg.field_mu_theta0,
+                  tau_Q_inv=cfg.utility_tau_Q_inv)
     if cfg.problem == "heat_flux":
-        nx = 40 if cfg.mesh_nx is None else cfg.mesh_nx
-        ny = 20 if cfg.mesh_ny is None else cfg.mesh_ny
-        tqi = cfg.utility_tau_Q_inv if cfg.utility_tau_Q_inv is not None else 0.01
-        return make_heat_problem(nx=nx, ny=ny, sigma_g2=cfg.field_sigma_g2,
-                                 x0=cfg.field_x0, mu_theta0=cfg.field_mu_theta0,
-                                 tau_Q_inv=tqi)
-    nx = 52 if cfg.mesh_nx is None else cfg.mesh_nx
-    ny = 34 if cfg.mesh_ny is None else cfg.mesh_ny
-    tqi = cfg.utility_tau_Q_inv if cfg.utility_tau_Q_inv is not None else 5e-6
-    return make_topo_problem(nx=nx, ny=ny, sigma_g2=cfg.field_sigma_g2,
-                             x0=cfg.field_x0, mu_theta0=cfg.field_mu_theta0,
-                             tau_Q_inv=tqi, VF=cfg.constraint_VF,
-                             eps_c2=cfg.constraint_eps_c2)
+        factory = make_heat_problem
+    else:
+        factory = make_topo_problem
+        kwargs.update(VF=cfg.constraint_VF, eps_c2=cfg.constraint_eps_c2)
+    return factory(**{k: v for k, v in kwargs.items() if v is not None})
 
 
 @dataclass
@@ -214,7 +177,9 @@ def run(cfg: RunConfig, stage: str = "all", outdir=None) -> RunArtifacts:
     if stage not in depth:
         raise ConfigError(f"unknown stage {stage!r}")
     level = depth[stage]
-    t0 = time.perf_counter()
+    # (stage, clock reading once its artifacts are written); each stage's
+    # time runs from the entry before, so the stage times add up to the total
+    laps = [("start", time.perf_counter())]
     model = build_problem(cfg)
     if cfg.vb_d_y > model.d_z:
         raise ConfigError(f"vb.d_y must be at most the design dimension d_z = "
@@ -222,7 +187,6 @@ def run(cfg: RunConfig, stage: str = "all", outdir=None) -> RunArtifacts:
     out = Path(outdir if outdir is not None else cfg.out)
     out.mkdir(parents=True, exist_ok=True)
     art = RunArtifacts()
-    timings = {}
 
     seeds = np.random.SeedSequence(cfg.seed).spawn(3)
     rng_w = np.random.default_rng(seeds[0])
@@ -232,20 +196,16 @@ def run(cfg: RunConfig, stage: str = "all", outdir=None) -> RunArtifacts:
     prior = vb.PriorConfig(tau_y0=1.0 / cfg.vb_tau_y0_inv, eps2=cfg.vb_eps2,
                            field_prior=model.field_prior)
     export_mesh(model.mesh, out / "mesh.txt")
-    timings["setup"] = time.perf_counter() - t0
+    laps.append(("setup", time.perf_counter()))
 
     # stage 1: point estimates, the only stage that consumes forward solves
-    t0 = time.perf_counter()
-    opts = map_opt.MapOptions(tol=cfg.map_tol, max_iter=cfg.map_max_iter,
-                              c_z0=cfg.map_c_z0,
-                              gibbs_sweeps=cfg.topo_prior_sweeps,
-                              gibbs_burn_in=cfg.topo_prior_burn_in,
-                              gibbs_seed=cfg.map_gibbs_seed,
-                              prior_m=cfg.topo_prior_m,
-                              prior_s2=cfg.topo_prior_s2)
+    opts = MapOptions(tol=cfg.map_tol, max_iter=cfg.map_max_iter, c_z0=cfg.map_c_z0,
+                      gibbs_sweeps=cfg.topo_prior_sweeps,
+                      gibbs_burn_in=cfg.topo_prior_burn_in,
+                      gibbs_seed=cfg.map_gibbs_seed, prior_m=cfg.topo_prior_m,
+                      prior_s2=cfg.topo_prior_s2)
     mres = map_opt.optimize_map(model, prior, opts)
     art.map_result = mres
-    timings["map"] = time.perf_counter() - t0
     map_calls = model.forward_calls
 
     _write_csv(out / "map_trace.csv",
@@ -258,10 +218,10 @@ def run(cfg: RunConfig, stage: str = "all", outdir=None) -> RunArtifacts:
                enumerate(mres.mu_theta.tolist()))
     if mres.phi_mean is not None:
         export_element_field(mres.phi_mean, out / "phi_mean.csv")
+    laps.append(("map", time.perf_counter()))
 
     validate_calls = 0
     if level >= 2:
-        t0 = time.perf_counter()
         f = eps_c2 = None
         log_p_mu_z = 0.0
         if model.constraint is not None:
@@ -275,7 +235,6 @@ def run(cfg: RunConfig, stage: str = "all", outdir=None) -> RunArtifacts:
         vres = vb.run_vbem(mres.G_theta, mres.G_z, params0, prior, model.tau_Q,
                            mres.residual, f=f, eps_c2=eps_c2, log_p_mu_z=log_p_mu_z)
         art.vbem = vres
-        timings["vbem"] = time.perf_counter() - t0
 
         _write_csv(out / "f_trace.csv", "iter,F", "%d,%.17g\n",
                    [(i + 1, fw) for i, (_, fw) in enumerate(vres.F_history)])
@@ -293,16 +252,16 @@ def run(cfg: RunConfig, stage: str = "all", outdir=None) -> RunArtifacts:
             _write_csv(out / f"designs_level_{lv:g}.csv", "sample,component_id,value",
                        "%d,%d,%.17g\n", ((i, j, v) for i, row in enumerate(zs.tolist())
                                           for j, v in enumerate(row)))
+        laps.append(("vbem", time.perf_counter()))
 
         if level >= 3:
-            t0 = time.perf_counter()
             report = validation.estimate_nKL(model, vres.state, vres.params, prior,
                                              cfg.validate_M, rng_val)
             art.report = report
             validate_calls = report.forward_calls
-            timings["validate"] = time.perf_counter() - t0
             with open(out / "validation.txt", "w") as fh:
                 fh.write("\n".join(report.lines()) + "\n")
+            laps.append(("validate", time.perf_counter()))
 
     total = model.forward_calls
     if total != map_calls + validate_calls:
@@ -321,7 +280,9 @@ def run(cfg: RunConfig, stage: str = "all", outdir=None) -> RunArtifacts:
             "map_spin_passes": mres.spin_passes}),
         **({} if art.vbem is None else {"vbem_iterations": art.vbem.iterations,
                                        "vbem_converged": art.vbem.converged}),
-        **{f"time_{k}": f"{v:.3f}" for k, v in timings.items()},
+        **{f"time_{k}": f"{end - begin:.3f}"
+           for (_, begin), (k, end) in zip(laps, laps[1:])},
+        "time_total": f"{laps[-1][1] - laps[0][1]:.3f}",
     }
     art.manifest = manifest
     with open(out / "manifest.txt", "w") as fh:

@@ -34,6 +34,13 @@ from .mesh_fem import (
 )
 from .random_field import FieldPrior, build_covariance
 
+# reference settings both examples share, and the CLI's defaults
+FIELD_SIGMA_G2 = 0.223    # log-field variance
+FIELD_X0 = 0.1            # log-field correlation length
+FIELD_MU_THETA0 = -0.112  # log-field mean
+TARGET_VF = 0.4           # volume fraction of the topology constraint
+EPS_C2 = 1e-10            # soft-enforcement variance of that constraint
+
 
 def sigmoid(x):
     out = np.empty_like(x, dtype=float)
@@ -115,6 +122,8 @@ class ForwardModel:
 
 
 class HeatFluxProblem(ForwardModel):
+    DOMAIN = (2.0, 1.0)  # (Lx, Ly); observations on the midline x1 = Lx / 2
+
     def __init__(self, mesh: Mesh, field_prior: FieldPrior, tau_Q: float,
                  u_target: np.ndarray, obs_points: np.ndarray):
         super().__init__()
@@ -164,6 +173,8 @@ class TopologyProblem(ForwardModel):
     E_MIN = 1e-10
     NU = 0.3            # Poisson ratio
     POINT_LOAD = 1e-3   # downward load at the bottom-right corner
+    DOMAIN = (1.6, 1.0)  # (Lx, Ly)
+    N_OBS = 8           # bottom-edge outputs at x1 = Lx k / N_OBS
 
     def __init__(self, mesh: Mesh, field_prior: FieldPrior, tau_Q: float,
                  u_target: np.ndarray, obs_points: np.ndarray, constraint):
@@ -212,27 +223,29 @@ class TopologyProblem(ForwardModel):
         return G_theta, G_z
 
 
-def make_heat_problem(nx=40, ny=20, Lx=2.0, Ly=1.0, sigma_g2=0.223, x0=0.1,
-                      mu_theta0=-0.112, tau_Q_inv=0.01, obs_x1=None,
+def make_heat_problem(nx=40, ny=20, sigma_g2=FIELD_SIGMA_G2, x0=FIELD_X0,
+                      mu_theta0=FIELD_MU_THETA0, tau_Q_inv=0.01,
                       obs_x2=None) -> HeatFluxProblem:
     """Numerical illustration defaults: 40x20 grid, 11 midline observation
     points at x2 = 0.25 + 0.05 k, tent-shaped temperature target."""
+    Lx, Ly = HeatFluxProblem.DOMAIN
     mesh = mesh_fem.build_regular_mesh(nx, ny, Lx, Ly)
     prior = build_covariance(mesh.element_centroids, sigma_g2, x0, mu_theta0)
     if obs_x2 is None:
         obs_x2 = 0.25 + 0.05 * np.arange(11)
     obs_x2 = np.asarray(obs_x2, dtype=float)
-    x1 = Lx / 2.0 if obs_x1 is None else obs_x1
-    pts = np.column_stack([np.full(obs_x2.shape, x1), obs_x2])
+    pts = np.column_stack([np.full(obs_x2.shape, Lx / 2.0), obs_x2])
     u_target = 20.0 - 40.0 * np.abs(obs_x2 - 0.5)
     return HeatFluxProblem(mesh, prior, 1.0 / tau_Q_inv, u_target, pts)
 
 
-def make_topo_problem(nx=52, ny=34, Lx=1.6, Ly=1.0, sigma_g2=0.223, x0=0.1,
-                      mu_theta0=-0.112, tau_Q_inv=5e-6, VF=0.4, eps_c2=1e-10,
-                      n_obs=8) -> TopologyProblem:
+def make_topo_problem(nx=52, ny=34, sigma_g2=FIELD_SIGMA_G2, x0=FIELD_X0,
+                      mu_theta0=FIELD_MU_THETA0, tau_Q_inv=5e-6, VF=TARGET_VF,
+                      eps_c2=EPS_C2) -> TopologyProblem:
     """Numerical illustration defaults: 52x34 grid, 8 bottom-edge outputs at
     x1 = 0.2 k with linearly increasing downward-displacement targets."""
+    Lx, Ly = TopologyProblem.DOMAIN
+    n_obs = TopologyProblem.N_OBS
     mesh = mesh_fem.build_regular_mesh(nx, ny, Lx, Ly)
     prior = build_covariance(mesh.element_centroids, sigma_g2, x0, mu_theta0)
     k = np.arange(1, n_obs + 1)

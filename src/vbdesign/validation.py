@@ -117,11 +117,9 @@ def estimate_nKL(model, state: VariationalState, params: ModelParams,
     for i in range(M):
         u = model.evaluate(params.mu_theta + eta_theta[i], zs[i])
         log_w[i] = log_utility(model, u)
-    if model.constraint is not None:
-        eps_c2 = model.constraint.eps_c2
-        for i in range(M):
+        if model.constraint is not None:
             c, _ = constraint_value_and_gradient(model.constraint, zs[i])
-            log_w[i] -= 0.5 * c * c / eps_c2
+            log_w[i] -= 0.5 * c * c / model.constraint.eps_c2
     log_w += log_p_theta + log_p_y + log_p_eta_z - log_q
 
     if not np.any(np.isfinite(log_w)) or np.max(log_w) == -np.inf:

@@ -112,7 +112,11 @@ class LowRankFactors:
 @dataclass
 class VariationalState:
     """Covariance blocks of q; the theta block is held by its factors,
-    C_thth = C_theta0 - B_th S^{-1} B_th^T (`LowRankFactors`)."""
+    C_thth = C_theta0 - B_th S^{-1} B_th^T (`LowRankFactors`).
+
+    `vb_expectation`, the package's only constructor, stores C_yy as
+    0.5 (C + C^T), which is exactly symmetric since float addition
+    commutes; readers use it as it is."""
 
     C_yy: np.ndarray
     C_thy: np.ndarray
@@ -267,9 +271,8 @@ def evaluate_F(state: VariationalState, params: ModelParams, prior: PriorConfig,
 
 def sensitive_directions(state: VariationalState, params: ModelParams) -> SensitivitySpectrum:
     """Diagonalize C_yy = U diag(sigma2) U^T; columns of W U in ascending order."""
-    C = 0.5 * (state.C_yy + state.C_yy.T)
     try:
-        sigma2, U = np.linalg.eigh(C)
+        sigma2, U = np.linalg.eigh(state.C_yy)
     except np.linalg.LinAlgError as exc:
         raise DegenerateCovarianceError("eigendecomposition of C_yy failed") from exc
     if sigma2[0] <= 0:
@@ -287,7 +290,7 @@ def sample_designs(params: ModelParams, state: VariationalState, level: float,
     if not 0.0 < level < 1.0:
         raise ValueError("utility level must lie strictly inside (0, 1)")
     try:
-        L = np.linalg.cholesky(0.5 * (state.C_yy + state.C_yy.T))
+        L = np.linalg.cholesky(state.C_yy)
     except np.linalg.LinAlgError as exc:
         raise DegenerateCovarianceError("C_yy factorization failed") from exc
     radius = np.sqrt(-2.0 * np.log(level))

@@ -1,12 +1,17 @@
 """Config parsing, pipeline artifacts, determinism, exit codes."""
 
+import hashlib
+import re
 import tracemalloc
+from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from vbdesign import cli, problems, topo_prior, vb
-from vbdesign.cli import ConfigError, build_problem, parse_config, run
+from vbdesign.cli import (ConfigError, RunConfig, build_problem, canonical_text, parse_config,
+                          run)
 
 from conftest import prior_covariance, raster_phi_mean, theta_block
 
@@ -31,6 +36,34 @@ topo_prior.burn_in = 40
 validate.M = 30
 map.max_iter = 120
 seed = 3
+"""
+
+EVERY_KEY = """\
+problem = topo
+mesh.nx = 9
+mesh.ny = 6
+field.sigma_g2 = 0.3
+field.x0 = 0.2
+field.mu_theta0 = 0.05
+utility.tau_Q_inv = 1e-05
+constraint.VF = 0.35
+constraint.eps_c2 = 1e-08
+vb.d_y = 4
+vb.tau_y0_inv = 1000.0
+vb.eps2 = 1e-09
+map.tol = 1e-06
+map.max_iter = 150
+map.c_z0 = 50.0
+map.gibbs_seed = 5
+topo_prior.m = 5.5
+topo_prior.s2 = 0.5
+topo_prior.sweeps = 200
+topo_prior.burn_in = 50
+validate.M = 20
+sample.levels = 0.9,0.3
+sample.count = 2
+seed = 7
+out = results
 """
 
 TOPO_13x9 = """
@@ -122,6 +155,35 @@ class TestParseConfig:
         cfg = parse_config("sample.levels = 0.9,0.5")
         assert cfg.sample_levels == (0.9, 0.5)
 
+    @pytest.mark.parametrize("text", ["problem = heat_flux", "problem = topo", EVERY_KEY],
+                             ids=["heat", "topo", "every_key"])
+    def test_canonical_text_round_trips(self, text):
+        cfg = parse_config(text)
+        assert parse_config(canonical_text(cfg)) == cfg
+
+    def test_every_key_is_set(self):
+        keys = {line.partition("=")[0].strip() for line in EVERY_KEY.splitlines() if line}
+        assert keys == {fd.metadata["key"] for fd in fields(RunConfig)}
+        assert canonical_text(parse_config(EVERY_KEY)) == EVERY_KEY
+
+    @pytest.mark.parametrize("text,digest", [
+        ("", "7ffdf4e12ac971497a8bd3929875aba1aec90c24f55d170e7876bd2af85f3953"),
+        ("problem = topo", "1b5c09370977d4a5b7d6dc4ef6be5e5454c6d34c079b05cd14eaaf606f190798"),
+        ("problem = topo\nmesh.nx = 26\nmesh.ny = 17",
+         "cb0ee8eaa952fcf5f9145bc31b480f848c70a9b4eb9939c1768fb960e7e21220"),
+    ], ids=["heat", "topo", "topo_26x17"])
+    def test_config_hash_pinned(self, text, digest):
+        # the manifest's config_hash of the reference configs; a default
+        # that moves changes it
+        assert hashlib.sha256(canonical_text(parse_config(text)).encode()).hexdigest() == digest
+
+    def test_readme_table_lists_every_key(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        table = readme.split("| key | default | meaning |", 1)[1].split("\n\n", 1)[0]
+        listed = [key for row in table.splitlines()[2:]
+                  for key in re.findall(r"`([^`]+)`", row.split("|")[1])]
+        assert sorted(listed) == sorted(fd.metadata["key"] for fd in fields(RunConfig))
+
 
 class TestBuildProblem:
     def test_problem_holds_one_square_array(self):
@@ -160,6 +222,17 @@ class TestRunPipeline:
     def test_pipeline_takes_lowrank_route(self, heat_run):
         _, art = heat_run
         assert art.vbem.state.lowrank is not None
+
+    def test_stage_times_add_up_to_total(self, heat_run):
+        # each stage's time includes its artifact writes and the stages
+        # follow each other, so only the 3-decimal rounding separates the sum
+        out, _ = heat_run
+        times = dict(line.split(" = ") for line in
+                     (out / "manifest.txt").read_text().splitlines()
+                     if line.startswith("time_"))
+        total = float(times.pop("time_total"))
+        assert list(times) == ["time_setup", "time_map", "time_vbem", "time_validate"]
+        assert abs(sum(map(float, times.values())) - total) <= 0.0005 * (len(times) + 1)
 
     def test_forward_call_identity(self, heat_run):
         out, art = heat_run

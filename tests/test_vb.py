@@ -104,6 +104,16 @@ class TestVbExpectation:
         F_closed = evaluate_F(st, params, prior, tau_Q, residual, G_theta, G_z)
         assert F_closed >= -out.fun - 1e-9
 
+    @pytest.mark.parametrize("constrained", [False, True])
+    def test_C_yy_exactly_symmetric(self, rng, constrained):
+        # sensitive_directions and sample_designs use C_yy without
+        # symmetrizing it again
+        G_theta, G_z, params, prior, tau_Q, _ = toy_vb_instance(
+            rng, d_theta=7, d_z=9, d_y=5, n=4)
+        kw = dict(f=rng.standard_normal(params.d_z), eps_c2=1e-3) if constrained else {}
+        st = vb_expectation(G_theta, G_z, params, prior, tau_Q, **kw)
+        assert np.array_equal(st.C_yy, st.C_yy.T)
+
     def test_rejects_nonorthonormal_W(self, rng):
         G_theta, G_z, params, prior, tau_Q, _ = toy_vb_instance(rng)
         bad = replace(params, W=params.W * 1.01)
