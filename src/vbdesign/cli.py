@@ -42,8 +42,8 @@ def _at_least(lo):
 _POSITIVE = _must_be(lambda v: 0.0 < v < np.inf, "positive and finite")
 _FINITE = _must_be(lambda v: bool(np.isfinite(v)), "finite")
 _FRACTION = _must_be(lambda v: 0.0 < v < 1.0, "strictly inside (0, 1)")
-_LEVELS = _must_be(lambda v: all(0.0 < x < 1.0 for x in v),
-                   "a list of levels strictly inside (0, 1)")
+_LEVELS = _must_be(lambda v: all(0.0 < x < 1.0 for x in v) and len(set(v)) == len(v),
+                   "a list of distinct levels strictly inside (0, 1)")
 _PROBLEM = (lambda v: v in ("heat_flux", "topo")), "unknown problem {v!r}"
 
 
@@ -129,6 +129,11 @@ def parse_config(text: str) -> RunConfig:
     return cfg
 
 
+def _level_text(x) -> str:
+    """The shortest text that parses back to the same double."""
+    return repr(float(x))
+
+
 def canonical_text(cfg: RunConfig) -> str:
     lines = []
     for key, fd in _FIELDS.items():
@@ -136,7 +141,7 @@ def canonical_text(cfg: RunConfig) -> str:
         if v is None:
             continue
         if _TYPES[fd.name] is tuple:
-            v = ",".join(f"{x:g}" for x in v)
+            v = ",".join(_level_text(x) for x in v)
         lines.append(f"{key} = {v}")
     return "\n".join(lines) + "\n"
 
@@ -249,9 +254,10 @@ def run(cfg: RunConfig, stage: str = "all", outdir=None) -> RunArtifacts:
         for lv in cfg.sample_levels:
             zs = vb.sample_designs(vres.params, vres.state, lv, cfg.sample_count,
                                    rng_designs)
-            _write_csv(out / f"designs_level_{lv:g}.csv", "sample,component_id,value",
-                       "%d,%d,%.17g\n", ((i, j, v) for i, row in enumerate(zs.tolist())
-                                          for j, v in enumerate(row)))
+            _write_csv(out / f"designs_level_{_level_text(lv)}.csv",
+                       "sample,component_id,value", "%d,%d,%.17g\n",
+                       ((i, j, v) for i, row in enumerate(zs.tolist())
+                        for j, v in enumerate(row)))
         laps.append(("vbem", time.perf_counter()))
 
         if level >= 3:

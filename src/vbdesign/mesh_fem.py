@@ -349,10 +349,9 @@ class BoundaryConditions:
 
 @dataclass
 class SystemSolution:
-    """Full nodal field, extracted outputs and the retained factorization."""
+    """Full nodal field and the retained factorization."""
 
     nodal_field: np.ndarray
-    outputs: np.ndarray
     K_factorization: object
     free: np.ndarray
     residual_rel: float
@@ -362,22 +361,15 @@ class SystemSolution:
 
         The operator is symmetric so the forward factorization is reused.
         """
-        rhs = np.asarray(rhs_full, dtype=float)
-        single = rhs.ndim == 1
-        if single:
-            rhs = rhs[:, None]
-        lam = np.zeros_like(rhs)
-        lam[self.free] = self.K_factorization(rhs[self.free])
-        return lam[:, 0] if single else lam
+        lam = np.zeros_like(rhs_full)
+        lam[self.free] = self.K_factorization(rhs_full[self.free])
+        return lam
 
 
-def solve_forward(Kff: BandedBlock, bc: BoundaryConditions, load: np.ndarray,
-                  observation: sp.spmatrix = None) -> SystemSolution:
+def solve_forward(Kff: BandedBlock, bc: BoundaryConditions, load: np.ndarray) -> SystemSolution:
     """Banded Cholesky solve on the free-free block; clamped dofs stay zero.
 
     Kff is the operator restricted to bc.free (see StiffnessPattern).
-    outputs = observation.T @ nodal_field when an observation operator is
-    given (columns are output functionals), else the full field.
     """
     free = bc.free
     if Kff.shape != (free.size, free.size):
@@ -407,8 +399,7 @@ def solve_forward(Kff: BandedBlock, bc: BoundaryConditions, load: np.ndarray,
     # treated as singular
     if residual_rel > 1e-3:
         raise SingularSystemError(_estimate_nullity(Kff))
-    outputs = observation.T @ u if observation is not None else u.copy()
-    return SystemSolution(u, np.asarray(outputs), factor.solve, free, residual_rel)
+    return SystemSolution(u, factor.solve, free, residual_rel)
 
 
 def _estimate_nullity(Kff, tol=1e-10):

@@ -15,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from . import mesh_fem
 from .mesh_fem import (
@@ -78,21 +77,45 @@ class StaleFactorizationError(RuntimeError):
 
 
 class ForwardModel:
-    """Shared plumbing: call counting, solution caching, Jacobian dispatch.
+    """Set-up, output read-out and adjoint Jacobians shared by both problems.
 
-    Subclasses implement _solve(theta, z) -> SystemSolution and
-    _jacobians(solution, theta, z) -> (G_theta, G_z).
+    A subclass passes its mesh, boundary conditions, unit element matrices,
+    element dof map and output interpolation (nodes, weights) to __init__,
+    and supplies its loads and coefficient law as _solve(theta, z) ->
+    SystemSolution and its chain-rule factors as _chain_rule(lam, base,
+    theta, z) -> (G_theta, G_z), where base[i, e] = lam_i^T K_e u for the
+    unit element matrices K_e.
+
+    Output i reads its field entries in ascending dof order, each times its
+    weight, summed from zero in that order (the order of a CSC operator's
+    transpose matvec); the adjoint right-hand sides are the same weights as
+    dense columns, built once.
     """
 
-    d_theta: int
-    d_z: int
-    n: int
-    u_target: np.ndarray
-    tau_Q: float
-    field_prior: FieldPrior
     constraint: ConstraintDescriptor | None = None
 
-    def __init__(self):
+    def __init__(self, mesh: Mesh, field_prior: FieldPrior, tau_Q: float,
+                 u_target: np.ndarray, bc: BoundaryConditions, ke_unit: np.ndarray,
+                 dof_map: np.ndarray, obs_dofs: np.ndarray, obs_weights: np.ndarray):
+        self.mesh = mesh
+        self.field_prior = field_prior
+        self.tau_Q = float(tau_Q)
+        self.u_target = np.asarray(u_target, dtype=float)
+        self.d_theta = mesh.n_elements
+        self.n = self.u_target.shape[0]
+        self.bc = bc
+        self._ke_unit = ke_unit
+        self._dofs = dof_map
+        self.pattern = StiffnessPattern.build(dof_map, ke_unit, bc.free)
+
+        order = np.argsort(obs_dofs, axis=1)
+        self._obs_dofs = np.take_along_axis(obs_dofs, order, axis=1)
+        self._obs_weights = np.take_along_axis(obs_weights, order, axis=1)
+        # Fortran order, the layout of a CSC operator's toarray(): the order
+        # in which BLAS sums the Jacobian products depends on it
+        self._adjoint_rhs = np.zeros((bc.ndof, self.n), order="F")
+        self._adjoint_rhs[obs_dofs, np.arange(self.n)[:, None]] = obs_weights
+
         self.forward_calls = 0
         self._last = None  # (theta, z, solution)
 
@@ -103,17 +126,27 @@ class ForwardModel:
             raise ValueError(
                 f"expected shapes ({self.d_theta},) and ({self.d_z},), "
                 f"got {theta.shape} and {z.shape}")
+        if not (np.all(np.isfinite(theta)) and np.all(np.isfinite(z))):
+            raise ValueError("theta and z must be finite")
         sol = self._solve(theta, z)
         self.forward_calls += 1
         self._last = (theta.copy(), z.copy(), sol)
-        return sol.outputs
+        return self._read_out(sol.nodal_field)
+
+    def _read_out(self, field: np.ndarray) -> np.ndarray:
+        out = np.zeros(self.n)
+        for dofs, weights in zip(self._obs_dofs.T, self._obs_weights.T):
+            out += weights * field[dofs]
+        return out
 
     def last_jacobians(self):
         """Adjoint Jacobians at the most recent evaluate() point; no new solve."""
         if self._last is None:
             raise StaleFactorizationError("no retained forward solution")
         theta, z, sol = self._last
-        return self._jacobians(sol, theta, z)
+        lam = sol.adjoint(self._adjoint_rhs)
+        base = mesh_fem.element_bilinear(self._ke_unit, self._dofs, lam, sol.nodal_field)
+        return self._chain_rule(lam, base, theta, z)
 
     def evaluate_with_jacobians(self, theta, z):
         u = self.evaluate(theta, z)
@@ -126,47 +159,22 @@ class HeatFluxProblem(ForwardModel):
 
     def __init__(self, mesh: Mesh, field_prior: FieldPrior, tau_Q: float,
                  u_target: np.ndarray, obs_points: np.ndarray):
-        super().__init__()
-        self.mesh = mesh
-        self.field_prior = field_prior
-        self.tau_Q = float(tau_Q)
-        self.u_target = np.asarray(u_target, dtype=float)
-        self.d_theta = mesh.n_elements
-        self.n = self.u_target.shape[0]
-        self.constraint = None
-
-        self.bc = BoundaryConditions.build(mesh, 1, ("right",))
+        idx, w = grid_interpolation_weights(*mesh.grid, obs_points)
+        super().__init__(mesh, field_prior, tau_Q, u_target,
+                         BoundaryConditions.build(mesh, 1, ("right",)),
+                         unit_diffusion_element_matrices(mesh), mesh.triangles, idx, w)
         self.design_nodes = boundary_nodes(mesh, "left")
         self.d_z = self.design_nodes.shape[0]
-        self.B = self._design_load_matrix()
-
-        nx, ny, Lx, Ly = mesh.grid
-        idx, w = grid_interpolation_weights(nx, ny, Lx, Ly, obs_points)
-        rows = idx.ravel()
-        cols = np.repeat(np.arange(self.n), 3)
-        self.L_obs = sp.coo_matrix((w.ravel(), (rows, cols)),
-                                   shape=(mesh.n_nodes, self.n)).tocsc()
-        self._ke_unit = unit_diffusion_element_matrices(mesh)
-        self._dofs = mesh.triangles
-        self.pattern = StiffnessPattern.build(self._dofs, self._ke_unit, self.bc.free)
-
-    def _design_load_matrix(self):
-        cols = []
-        for j, node in enumerate(self.design_nodes):
-            cols.append(edge_mass_loads(self.mesh, "left", {node: 1.0}))
-        return np.column_stack(cols)
+        self.B = np.column_stack([edge_mass_loads(mesh, "left", {node: 1.0})
+                                  for node in self.design_nodes])
 
     def _solve(self, theta, z):
         Kff = assemble_diffusion(self.pattern, np.exp(theta))
-        return solve_forward(Kff, self.bc, self.B @ z, observation=self.L_obs)
+        return solve_forward(Kff, self.bc, self.B @ z)
 
-    def _jacobians(self, sol, theta, z):
-        Lam = sol.adjoint(self.L_obs.toarray())
+    def _chain_rule(self, lam, base, theta, z):
         # outputs are exactly linear in the flux design, so G_z is constant
-        G_z = Lam.T @ self.B
-        base = mesh_fem.element_bilinear(self._ke_unit, self._dofs, Lam, sol.nodal_field)
-        G_theta = -base * np.exp(theta)[None, :]
-        return G_theta, G_z
+        return -base * np.exp(theta)[None, :], lam.T @ self.B
 
 
 class TopologyProblem(ForwardModel):
@@ -178,32 +186,18 @@ class TopologyProblem(ForwardModel):
 
     def __init__(self, mesh: Mesh, field_prior: FieldPrior, tau_Q: float,
                  u_target: np.ndarray, obs_points: np.ndarray, constraint):
-        super().__init__()
-        self.mesh = mesh
-        self.field_prior = field_prior
-        self.tau_Q = float(tau_Q)
-        self.u_target = np.asarray(u_target, dtype=float)
-        self.d_theta = mesh.n_elements
-        self.d_z = mesh.n_elements
-        self.n = self.u_target.shape[0]
-        self.constraint = constraint
-
         nx, ny, Lx, Ly = mesh.grid
         corner = int(np.argmin(np.sum((mesh.nodes - [Lx, 0.0]) ** 2, axis=1)))
-        self.bc = BoundaryConditions.build(
-            mesh, 2, ("left",),
-            point_loads=[(corner, 1, -self.POINT_LOAD)])
-        self.load = self.bc.load_vector()
-
+        bc = BoundaryConditions.build(mesh, 2, ("left",),
+                                      point_loads=[(corner, 1, -self.POINT_LOAD)])
         # downward-positive vertical outputs: -u2 interpolated on the bottom edge
         idx, w = grid_interpolation_weights(nx, ny, Lx, Ly, obs_points)
-        rows = (2 * idx + 1).ravel()
-        cols = np.repeat(np.arange(self.n), 3)
-        self.L_obs = sp.coo_matrix((-w.ravel(), (rows, cols)),
-                                   shape=(2 * mesh.n_nodes, self.n)).tocsc()
-        self._ke_unit = unit_elasticity_element_matrices(mesh, self.NU)
-        self._dofs = element_dofs(mesh, 2)
-        self.pattern = StiffnessPattern.build(self._dofs, self._ke_unit, self.bc.free)
+        super().__init__(mesh, field_prior, tau_Q, u_target, bc,
+                         unit_elasticity_element_matrices(mesh, self.NU),
+                         element_dofs(mesh, 2), 2 * idx + 1, -w)
+        self.d_z = mesh.n_elements
+        self.constraint = constraint
+        self.load = bc.load_vector()
 
     def youngs_field(self, theta, z):
         lam = np.exp(theta)
@@ -211,16 +205,13 @@ class TopologyProblem(ForwardModel):
 
     def _solve(self, theta, z):
         Kff = assemble_elasticity(self.pattern, self.youngs_field(theta, z))
-        return solve_forward(Kff, self.bc, self.load, observation=self.L_obs)
+        return solve_forward(Kff, self.bc, self.load)
 
-    def _jacobians(self, sol, theta, z):
-        Lam = sol.adjoint(self.L_obs.toarray())
-        base = mesh_fem.element_bilinear(self._ke_unit, self._dofs, Lam, sol.nodal_field)
-        lam = np.exp(theta)
+    def _chain_rule(self, lam, base, theta, z):
+        lam_theta = np.exp(theta)
         s = sigmoid(z)
-        G_theta = -base * (s * lam)[None, :]
-        G_z = -base * (s * (1.0 - s) * (lam - self.E_MIN))[None, :]
-        return G_theta, G_z
+        return (-base * (s * lam_theta)[None, :],
+                -base * (s * (1.0 - s) * (lam_theta - self.E_MIN))[None, :])
 
 
 def make_heat_problem(nx=40, ny=20, sigma_g2=FIELD_SIGMA_G2, x0=FIELD_X0,

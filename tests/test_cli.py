@@ -155,6 +155,15 @@ class TestParseConfig:
         cfg = parse_config("sample.levels = 0.9,0.5")
         assert cfg.sample_levels == (0.9, 0.5)
 
+    def test_levels_past_six_digits_round_trip(self):
+        # levels that agree to 6 significant digits keep apart in the
+        # canonical text, and so in the config hash
+        a = parse_config("sample.levels = 0.1234567,0.1234568")
+        b = parse_config("sample.levels = 0.1234567,0.12345681")
+        assert parse_config(canonical_text(a)) == a
+        assert "sample.levels = 0.1234567,0.1234568\n" in canonical_text(a)
+        assert canonical_text(a) != canonical_text(b)
+
     @pytest.mark.parametrize("text", ["problem = heat_flux", "problem = topo", EVERY_KEY],
                              ids=["heat", "topo", "every_key"])
     def test_canonical_text_round_trips(self, text):
@@ -218,6 +227,14 @@ class TestRunPipeline:
             assert (out / name).exists(), name
         assert (out / "direction_01.csv").exists()
         assert (out / "designs_level_0.95.csv").exists()
+
+    def test_close_levels_write_one_file_each(self, tmp_path):
+        cfg = parse_config(SMALL_HEAT + "sample.levels = 0.1234567,0.1234568\n")
+        run(cfg, stage="vbem", outdir=tmp_path)
+        a, b = (tmp_path / f"designs_level_{lv}.csv" for lv in ("0.1234567", "0.1234568"))
+        assert sorted(p.name for p in tmp_path.glob("designs_level_*")) == [a.name, b.name]
+        # one stream draws both shells, so the second file is not the first again
+        assert a.read_text() != b.read_text()
 
     def test_pipeline_takes_lowrank_route(self, heat_run):
         _, art = heat_run
@@ -390,7 +407,8 @@ class TestMainExitCodes:
         "constraint.VF = 1.5", "mesh.ny = 0", "field.x0 = inf", "field.mu_theta0 = nan",
         "utility.tau_Q_inv = 0", "constraint.eps_c2 = -1e-10", "map.max_iter = 0",
         "map.c_z0 = nan", "map.gibbs_seed = -1", "topo_prior.s2 = 0",
-        "sample.levels = 0.5,1.0", "seed = -3"], ids=lambda line: line.replace(" ", ""))
+        "sample.levels = 0.5,1.0", "sample.levels = 0.5,0.50", "seed = -3"],
+        ids=lambda line: line.replace(" ", ""))
     def test_out_of_range_value_exit_2(self, tmp_path, monkeypatch, line):
         # vb.d_y = 50 exceeds d_z = 5 of the 8x4 heat mesh, which only the
         # built model knows; every case stops before a solve or an output

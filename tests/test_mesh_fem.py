@@ -289,7 +289,6 @@ class TestSolveForward:
         assert np.max(np.abs(lam[bc.free] - expected)) <= 1e-10 * np.max(np.abs(expected))
         clamped = np.setdiff1d(np.arange(bc.ndof), bc.free)
         assert np.all(lam[clamped] == 0.0)
-        assert np.array_equal(sol.adjoint(rhs[:, 2]), lam[:, 2])
 
     def test_symmetric_indefinite_block_raises(self):
         # nonsingular, so an LU would solve it; the Cholesky path must refuse
@@ -321,18 +320,18 @@ class TestSolveForward:
         assert np.mean(youngs <= 2.0 * p.E_MIN) >= 0.9
         K = assemble_elasticity(p.pattern, youngs)
         try:
-            sol = solve_forward(K, p.bc, p.load, observation=p.L_obs)
+            sol = solve_forward(K, p.bc, p.load)
         except SingularSystemError:
             return
         assert sol.residual_rel <= 1e-3
         assert np.all(np.isfinite(sol.nodal_field))
-        assert np.all(np.isfinite(sol.outputs))
+        assert np.all(np.isfinite(p._read_out(sol.nodal_field)))
 
     def test_symmetric_mode_fill_below_default(self):
         p = make_topo_problem(nx=26, ny=17)
         K = assemble_elasticity(p.pattern, p.youngs_field(
             p.field_prior.mean, np.zeros(p.d_z)))
-        sol = solve_forward(K, p.bc, p.load, observation=p.L_obs)
+        sol = solve_forward(K, p.bc, p.load)
         assert sol.K_factorization.__self__.nnz < spla.splu(sp.csc_matrix(K.toarray())).nnz
 
     def test_heat_problem_positive_outputs(self):

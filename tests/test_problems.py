@@ -2,10 +2,13 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
+from vbdesign.mesh_fem import element_bilinear, grid_interpolation_weights
 from vbdesign.problems import (
     ConstraintDescriptor,
     StaleFactorizationError,
+    TopologyProblem,
     constraint_value_and_gradient,
     log_utility,
     make_heat_problem,
@@ -109,6 +112,75 @@ class TestTopologyProblem:
     def test_dimension_mismatch_rejected(self, topo_small):
         with pytest.raises(ValueError):
             topo_small.evaluate(np.zeros(3), np.zeros(topo_small.d_z))
+
+
+@pytest.mark.parametrize("which", ["heat", "topo"])
+@pytest.mark.parametrize("where,bad", [("theta", np.nan), ("theta", np.inf),
+                                       ("z", np.nan), ("z", -np.inf)])
+def test_non_finite_input_rejected_before_the_solve(heat_small, which, where, bad):
+    p = heat_small if which == "heat" else make_topo_problem(nx=6, ny=4)
+    theta, z = p.field_prior.mean.copy(), np.zeros(p.d_z)
+    (theta if where == "theta" else z)[1] = bad
+    calls = p.forward_calls
+    with pytest.raises(ValueError, match="finite"):
+        p.evaluate(theta, z)
+    assert p.forward_calls == calls
+
+
+def sparse_observation(p, points, ndof_per_node, sign):
+    """The output operator as a CSC matrix (one column per output), built
+    from the interpolation weights as a sparse-matrix read-out would be."""
+    idx, w = grid_interpolation_weights(*p.mesh.grid, points)
+    rows = (ndof_per_node * idx + ndof_per_node - 1).ravel()
+    cols = np.repeat(np.arange(p.n), 3)
+    return sp.coo_matrix((sign * w.ravel(), (rows, cols)),
+                         shape=(ndof_per_node * p.mesh.n_nodes, p.n)).tocsc()
+
+
+def heat_reference(nx, ny, x2=0.25 + 0.05 * np.arange(11)):
+    p = make_heat_problem(nx=nx, ny=ny, obs_x2=x2)
+    return p, sparse_observation(p, np.column_stack([np.full(x2.size, 1.0), x2]), 1, 1.0)
+
+
+def heat_off_grid(nx, ny):
+    # odd nx puts the midline between grid lines, so every output reads
+    # three nonzero weights and the order of its sum shows
+    return heat_reference(nx, ny, np.linspace(0.27, 0.73, 7))
+
+
+def topo_reference(nx, ny):
+    p = make_topo_problem(nx=nx, ny=ny)
+    k = np.arange(1, TopologyProblem.N_OBS + 1)
+    pts = np.column_stack([1.6 * k / TopologyProblem.N_OBS, np.zeros(k.size)])
+    return p, sparse_observation(p, pts, 2, -1.0)
+
+
+class TestReadOut:
+    """Outputs and Jacobians equal, bit for bit, those of a CSC output
+    operator L: u_out = L^T u and adjoint right-hand sides L.toarray().
+    The MAP endpoint moves by about 1e-7 relative when the outputs change
+    in their last bit, so a read-out that sums in another order (a dense
+    matvec, say) fails here."""
+
+    @pytest.mark.parametrize("build,grid", [(heat_reference, (40, 20)),
+                                            (heat_off_grid, (21, 10)),
+                                            (topo_reference, (26, 17)),
+                                            (topo_reference, (52, 34))],
+                             ids=["heat40x20", "heat21x10", "topo26x17", "topo52x34"])
+    def test_matches_sparse_operator_bitwise(self, build, grid, rng):
+        p, L = build(*grid)
+        dense = L.toarray()
+        for _ in range(20):
+            theta = p.field_prior.mean + 0.5 * rng.standard_normal(p.d_theta)
+            z = 3.0 * rng.standard_normal(p.d_z)
+            u, G_theta, G_z = p.evaluate_with_jacobians(theta, z)
+            sol = p._solve(theta, z)
+            lam = sol.adjoint(dense)
+            base = element_bilinear(p._ke_unit, p._dofs, lam, sol.nodal_field)
+            ref_theta, ref_z = p._chain_rule(lam, base, theta, z)
+            assert np.array_equal(u, L.T @ sol.nodal_field)
+            assert np.array_equal(G_theta, ref_theta)
+            assert np.array_equal(G_z, ref_z)
 
 
 class TestLogUtility:
