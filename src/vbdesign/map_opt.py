@@ -49,23 +49,10 @@ MAX_HALVINGS = 30   # damping halvings before an iteration stalls
 
 
 @dataclass
-class MapIterate:
-    mu_theta: np.ndarray
-    mu_z: np.ndarray
-    residual: np.ndarray
-    G_theta: np.ndarray
-    G_z: np.ndarray
-    forward_calls: int
-    F_mu: float
-    v_white: np.ndarray = None  # L^{-1}(mu_theta - mu_theta0), optional
-
-
-@dataclass
 class MapOptions:
     tol: float = 1e-5
     max_iter: int = 100
     c_z0: float = 100.0         # design-mean prior variance (see notes)
-    fix_theta: bool = False
     gibbs_sweeps: int = 500
     gibbs_burn_in: int = 100
     gibbs_seed: int = 777
@@ -95,44 +82,27 @@ class MapResult:
     spin_passes: int = 0        # their Jacobi passes, summed
 
 
-def gn_step(iterate: MapIterate, prior: PriorConfig, tau_Q: float,
-            c_z0: float = 1e10, ising=None, constraint=None,
-            fix_theta: bool = False):
-    """One Gauss-Newton step (dt, dz, nu, dv), optionally with the
-    linearized equality constraint satisfied exactly via the multiplier nu;
-    dv is dt in whitened coordinates.
+def gn_step(residual, G_theta, G_z, mu_z, v, prior: PriorConfig, tau_Q: float,
+            z_prior, constraint=None):
+    """One Gauss-Newton step (dt, dz, nu, dv) from the iterate's residual
+    u_target - u, Jacobians, design mean mu_z and whitened theta
+    v = L^{-1}(mu_theta - mu_theta0), optionally with the linearized
+    equality constraint satisfied exactly via the multiplier nu; dv is dt in
+    whitened coordinates.
 
-    ising, when given, is (phi_mean, m, s2) and replaces the vague design
-    regularizer by the bimodal-prior pull; constraint is (c, f) at the
-    current mu_z. With fix_theta the theta block drops out (zero Jacobian
-    and gradient), so dt = dv = 0.
+    z_prior = (center, var) is the Gaussian pull N(center, var I) on mu_z
+    (see _z_prior); constraint is (c, f) at mu_z.
     """
-    r = iterate.residual
-    Gt = iterate.G_theta
-    Gz = iterate.G_z
+    center, var = z_prior
     fp = prior.field_prior
-    n = r.shape[0]
+    n = residual.shape[0]
     nu = 0.0
-
-    if ising is not None:
-        phi_mean, m, s2 = ising
-        rz = np.full(iterate.mu_z.shape[0], 1.0 / s2)
-        h_z = tau_Q * (Gz.T @ r) - (iterate.mu_z - m * phi_mean) / s2
-    else:
-        rz = np.full(iterate.mu_z.shape[0], 1.0 / c_z0)
-        h_z = tau_Q * (Gz.T @ r) - iterate.mu_z / c_z0
-
-    if fix_theta:
-        A = np.zeros_like(Gt)
-        h_v = np.zeros(Gt.shape[1])
-    else:
-        # whitened theta coordinates: A = G_theta L, gradient L^T g_theta - v
-        v = iterate.v_white
-        if v is None:
-            v = sla.solve_triangular(fp.chol, iterate.mu_theta - fp.mean, lower=True)
-        A = Gt @ fp.chol
-        h_v = A.T @ (tau_Q * r) - v
-    S = np.eye(n) / tau_Q + A @ A.T + (Gz / rz) @ Gz.T
+    rz = np.full(mu_z.shape[0], 1.0 / var)
+    h_z = tau_Q * (G_z.T @ residual) - (mu_z - center) / var
+    # whitened theta coordinates: A = G_theta L, gradient L^T g_theta - v
+    A = G_theta @ fp.chol
+    h_v = A.T @ (tau_Q * residual) - v
+    S = np.eye(n) / tau_Q + A @ A.T + (G_z / rz) @ G_z.T
     try:
         cho = sla.cho_factor(0.5 * (S + S.T), lower=True)
     except np.linalg.LinAlgError as exc:
@@ -140,8 +110,8 @@ def gn_step(iterate: MapIterate, prior: PriorConfig, tau_Q: float,
 
     def solve(b_v, b_z):
         tz = b_z / rz
-        w = sla.cho_solve(cho, A @ b_v + Gz @ tz)
-        return b_v - A.T @ w, tz - (Gz.T @ w) / rz
+        w = sla.cho_solve(cho, A @ b_v + G_z @ tz)
+        return b_v - A.T @ w, tz - (G_z.T @ w) / rz
 
     dv, dz = solve(h_v, h_z)
     if constraint is not None:
@@ -197,9 +167,7 @@ def optimize_map(model, prior: PriorConfig, options: MapOptions = None,
 
     def f_mu(u, v_w, mz, phi_mean):
         r = model.u_target - u
-        val = -0.5 * model.tau_Q * float(r @ r)
-        if not opts.fix_theta:
-            val -= 0.5 * float(v_w @ v_w)
+        val = -0.5 * model.tau_Q * float(r @ r) - 0.5 * float(v_w @ v_w)
         if constrained:
             val += topo_prior.log_prior_mu_z(mz, phi_mean, opts.prior_m, opts.prior_s2)
         else:
@@ -224,15 +192,11 @@ def optimize_map(model, prior: PriorConfig, options: MapOptions = None,
     rejected_total = 0
 
     for it in range(1, opts.max_iter + 1):
-        iterate = MapIterate(mu_theta, mu_z, model.u_target - u, Gt, Gz,
-                             model.forward_calls, F_cur, v_white=v)
-        ising = (phi_mean, opts.prior_m, opts.prior_s2) if constrained else None
         cons = None
         if constrained:
             cons = constraint_value_and_gradient(model.constraint, mu_z)
-        dt, dz, nu, dv = gn_step(iterate, prior, model.tau_Q, c_z0=opts.c_z0,
-                                 ising=ising, constraint=cons,
-                                 fix_theta=opts.fix_theta)
+        dt, dz, nu, dv = gn_step(model.u_target - u, Gt, Gz, mu_z, v, prior, model.tau_Q,
+                                 _z_prior(opts, phi_mean), constraint=cons)
         if constrained:
             # l1 merit weight above the current multiplier scale keeps
             # feasibility restoration acceptable to the damping test; the
@@ -343,8 +307,8 @@ def optimize_map(model, prior: PriorConfig, options: MapOptions = None,
             converged = True
             break
 
-    grad_norm = _stationarity(model, prior, opts, v, mu_z,
-                              model.u_target - u, Gt, Gz, phi_mean)
+    grad_norm = _stationarity(model, prior, _z_prior(opts, phi_mean), v, mu_z,
+                              model.u_target - u, Gt, Gz)
     return MapResult(mu_theta, mu_z, trace, model.forward_calls, converged,
                      stalled, grad_norm, F_cur, phi_mean,
                      residual=model.u_target - u, G_theta=Gt, G_z=Gz,
@@ -379,18 +343,23 @@ def _cval(model, mu_z):
     return constraint_value_and_gradient(model.constraint, mu_z)[0]
 
 
-def _stationarity(model, prior, opts, v, mu_z, r, Gt, Gz, phi_mean):
+def _z_prior(opts, phi_mean):
+    """The Gaussian pull N(center, var I) on mu_z: the bimodal spatial prior
+    through the spin-mean estimate, (m <phi>, s2), when there is one, else
+    the vague (0, c_z0)."""
+    if phi_mean is None:
+        return 0.0, opts.c_z0
+    return opts.prior_m * phi_mean, opts.prior_s2
+
+
+def _stationarity(model, prior, z_prior, v, mu_z, r, Gt, Gz):
     """Norm of the objective gradient (theta part in whitened coordinates),
     minimized over the constraint multiplier when one is active."""
-    fp = prior.field_prior
-    g_t = np.zeros_like(v) if opts.fix_theta else \
-        fp.chol.T @ (model.tau_Q * (Gt.T @ r)) - v
+    center, var = z_prior
+    g_t = prior.field_prior.chol.T @ (model.tau_Q * (Gt.T @ r)) - v
+    g_z = model.tau_Q * (Gz.T @ r) - (mu_z - center) / var
     if model.constraint is not None:
-        g_z = model.tau_Q * (Gz.T @ r) + topo_prior.grad_log_prior_mu_z(
-            mu_z, phi_mean, opts.prior_m, opts.prior_s2)
         _, f = constraint_value_and_gradient(model.constraint, mu_z)
         nu = -(f @ g_z) / (f @ f)
         g_z = g_z + nu * f
-    else:
-        g_z = model.tau_Q * (Gz.T @ r) - mu_z / opts.c_z0
     return float(np.sqrt(np.sum(g_t**2) + np.sum(g_z**2)))

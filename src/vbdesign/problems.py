@@ -62,7 +62,7 @@ def constraint_value_and_gradient(desc: ConstraintDescriptor, z: np.ndarray):
     """c(z) = mean(sigmoid(z)) - VF and its gradient."""
     s = sigmoid(np.asarray(z, dtype=float))
     c = float(np.mean(s) - desc.target_VF)
-    f = s * (1.0 - s) / z.shape[0]
+    f = s * (1.0 - s) / s.shape[0]
     return c, f
 
 

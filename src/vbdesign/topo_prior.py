@@ -258,7 +258,3 @@ def log_prior_mu_z(mu_z: np.ndarray, phi_mean: np.ndarray, m: float, s2: float) 
     d = mu_z.shape[0]
     return -0.5 / s2 * (float(mu_z @ mu_z) - 2.0 * m * float(mu_z @ phi_mean)
                         + m * m * d)
-
-
-def grad_log_prior_mu_z(mu_z, phi_mean, m, s2):
-    return -(np.asarray(mu_z, dtype=float) - m * np.asarray(phi_mean)) / s2

@@ -11,6 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.optimize
 
 from vbdesign import map_opt, stiefel, topo_prior, validation
@@ -336,16 +337,16 @@ def test_criterion_6_oracle_equivalences(rng):
                      rng.standard_normal(3), 2.0, fp)
     mu_t = pr.mu_theta0 + 0.3 * rng.standard_normal(6)
     mu_z = rng.standard_normal(4)
-    u = lm.evaluate(mu_t, mu_z)
-    it = map_opt.MapIterate(mu_t, mu_z, lm.u_target - u, lm.G_theta, lm.G_z, 1, 0.0)
-    dt, dz, _, _ = map_opt.gn_step(it, pr, lm.tau_Q, c_z0=50.0)
+    r = lm.u_target - lm.evaluate(mu_t, mu_z)
+    v = scipy.linalg.solve_triangular(fp.chol, mu_t - fp.mean, lower=True)
+    dt, dz, _, _ = map_opt.gn_step(r, lm.G_theta, lm.G_z, mu_z, v, pr, lm.tau_Q, (0.0, 50.0))
     C0inv = np.linalg.inv(prior_covariance(fp))
     H = np.block([[lm.tau_Q * lm.G_theta.T @ lm.G_theta + C0inv,
                    lm.tau_Q * lm.G_theta.T @ lm.G_z],
                   [lm.tau_Q * lm.G_z.T @ lm.G_theta,
                    lm.tau_Q * lm.G_z.T @ lm.G_z + np.eye(4) / 50.0]])
-    h = np.concatenate([lm.tau_Q * lm.G_theta.T @ it.residual - C0inv @ (mu_t - fp.mean),
-                        lm.tau_Q * lm.G_z.T @ it.residual - mu_z / 50.0])
+    h = np.concatenate([lm.tau_Q * lm.G_theta.T @ r - C0inv @ (mu_t - fp.mean),
+                        lm.tau_Q * lm.G_z.T @ r - mu_z / 50.0])
     err_d = float(np.max(np.abs(np.concatenate([dt, dz]) - np.linalg.solve(H, h))))
     checks.append(("gn_vs_direct<=1e-10", err_d <= 1e-10, f"err={err_d:.2e}"))
 

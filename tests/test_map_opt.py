@@ -2,9 +2,10 @@
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
 from conftest import LinearModel, make_field_prior, prior_covariance
-from vbdesign.map_opt import MapIterate, MapOptions, gn_step, optimize_map
+from vbdesign.map_opt import MapOptions, _z_prior, gn_step, optimize_map
 from vbdesign.problems import (
     ConstraintDescriptor,
     constraint_value_and_gradient,
@@ -22,31 +23,65 @@ def linear_setup(rng, d_t=6, d_z=4, n=3, constraint=None):
     return model, prior
 
 
+def step_at(model, prior, mu_t, mu_z, z_prior, constraint=None):
+    """The residual at (mu_t, mu_z) and gn_step's (dt, dz, nu, dv) there."""
+    fp = prior.field_prior
+    r = model.u_target - model.evaluate(mu_t, mu_z)
+    v = sla.solve_triangular(fp.chol, mu_t - fp.mean, lower=True)
+    return r, gn_step(r, model.G_theta, model.G_z, mu_z, v, prior, model.tau_Q,
+                      z_prior, constraint)
+
+
+class FixedTheta:
+    """A model whose theta Jacobian reads zero: the Gauss-Newton steps then
+    keep theta at its prior mean (the deterministic, zero-variance variant)."""
+
+    def __init__(self, model):
+        self.model = model
+
+    def __getattr__(self, name):
+        return getattr(self.model, name)
+
+    def evaluate_with_jacobians(self, theta, z):
+        u, Gt, Gz = self.model.evaluate_with_jacobians(theta, z)
+        return u, np.zeros_like(Gt), Gz
+
+    def last_jacobians(self):
+        Gt, Gz = self.model.last_jacobians()
+        return np.zeros_like(Gt), Gz
+
+
 class TestGnStep:
-    def test_linear_model_one_step_matches_direct_solve(self, rng):
-        # criterion: exact regularized least-squares solution in one step
+    @pytest.mark.parametrize("pull", ["vague", "spin_mean"])
+    def test_linear_model_one_step_matches_direct_solve(self, rng, pull):
+        # criterion: exact regularized least-squares solution in one step,
+        # under the vague design pull and under the spin-mean pull
         model, prior = linear_setup(rng)
-        c_z0 = 50.0
         mu_t = prior.mu_theta0 + 0.3 * rng.standard_normal(model.d_theta)
         mu_z = rng.standard_normal(model.d_z)
-        u = model.evaluate(mu_t, mu_z)
-        it = MapIterate(mu_t, mu_z, model.u_target - u, model.G_theta, model.G_z, 1, 0.0)
-        dt, dz, _, _ = gn_step(it, prior, model.tau_Q, c_z0=c_z0)
+        if pull == "vague":
+            phi_mean = None
+            opts = MapOptions(c_z0=50.0)
+        else:
+            phi_mean = rng.uniform(-1.0, 1.0, model.d_z)
+            opts = MapOptions()
+        center, var = _z_prior(opts, phi_mean)
+        r, (dt, dz, _, _) = step_at(model, prior, mu_t, mu_z, (center, var))
 
         fp = prior.field_prior
         C0inv = np.linalg.inv(prior_covariance(fp))
         Gt, Gz = model.G_theta, model.G_z
         tq = model.tau_Q
         H = np.block([[tq * Gt.T @ Gt + C0inv, tq * Gt.T @ Gz],
-                      [tq * Gz.T @ Gt, tq * Gz.T @ Gz + np.eye(model.d_z) / c_z0]])
-        h = np.concatenate([tq * Gt.T @ it.residual - C0inv @ (mu_t - fp.mean),
-                            tq * Gz.T @ it.residual - mu_z / c_z0])
+                      [tq * Gz.T @ Gt, tq * Gz.T @ Gz + np.eye(model.d_z) / var]])
+        h = np.concatenate([tq * Gt.T @ r - C0inv @ (mu_t - fp.mean),
+                            tq * Gz.T @ r - (mu_z - center) / var])
         sol = np.linalg.solve(H, h)
         assert np.max(np.abs(np.concatenate([dt, dz]) - sol)) < 1e-10
         # the stepped point is the exact regularized normal-equations optimum
         opt = np.linalg.solve(H, np.concatenate([
             tq * Gt.T @ (model.u_target - model.u0) + C0inv @ fp.mean,
-            tq * Gz.T @ (model.u_target - model.u0)]))
+            tq * Gz.T @ (model.u_target - model.u0) + center / var]))
         stepped = np.concatenate([mu_t + dt, mu_z + dz])
         assert np.max(np.abs(stepped - opt)) < 1e-9
 
@@ -55,9 +90,7 @@ class TestGnStep:
         mu_t = prior.mu_theta0.copy()
         mu_z = np.zeros(model.d_z)
         model.u_target = model.evaluate(mu_t, mu_z)  # residual zero at priors
-        u = model.evaluate(mu_t, mu_z)
-        it = MapIterate(mu_t, mu_z, model.u_target - u, model.G_theta, model.G_z, 1, 0.0)
-        dt, dz, _, _ = gn_step(it, prior, model.tau_Q, c_z0=1e10)
+        _, (dt, dz, _, _) = step_at(model, prior, mu_t, mu_z, (0.0, 1e10))
         assert np.max(np.abs(dt)) < 1e-12
         assert np.max(np.abs(dz)) < 1e-12
 
@@ -65,11 +98,9 @@ class TestGnStep:
         model, prior = linear_setup(rng)
         mu_t = prior.mu_theta0 + 0.1 * rng.standard_normal(model.d_theta)
         mu_z = rng.standard_normal(model.d_z)
-        u = model.evaluate(mu_t, mu_z)
-        it = MapIterate(mu_t, mu_z, model.u_target - u, model.G_theta, model.G_z, 1, 0.0)
         f = rng.standard_normal(model.d_z)
         c = 0.17
-        dt, dz, _, _ = gn_step(it, prior, model.tau_Q, c_z0=10.0, constraint=(c, f))
+        _, (dt, dz, _, _) = step_at(model, prior, mu_t, mu_z, (0.0, 10.0), (c, f))
         assert c + f @ dz == pytest.approx(0.0, abs=1e-12)
 
     def test_constrained_step_on_sigmoid_toy(self, rng):
@@ -80,26 +111,24 @@ class TestGnStep:
         mu_t = prior.mu_theta0.copy()
         mu_z = np.full(model.d_z, np.log(0.4 / 0.6)) + 0.02 * rng.standard_normal(model.d_z)
         model.u_target = model.evaluate(mu_t, mu_z)  # zero residual: pure restoration
-        u = model.evaluate(mu_t, mu_z)
         c, f = constraint_value_and_gradient(desc, mu_z)
-        it = MapIterate(mu_t, mu_z, model.u_target - u, model.G_theta, model.G_z, 1, 0.0)
         # prior centered at the current design isolates the restoration move
-        dt, dz, _, _ = gn_step(it, prior, model.tau_Q,
-                         ising=(mu_z, 1.0, 1.0), constraint=(c, f))
+        _, (dt, dz, _, _) = step_at(model, prior, mu_t, mu_z, (mu_z, 1.0), (c, f))
         c_new, _ = constraint_value_and_gradient(desc, mu_z + dz)
         assert abs(c_new) <= abs(c) * 1e-2 + 1e-8
 
     def test_fix_theta_branch(self, rng):
+        # a zero theta Jacobian at the prior mean keeps theta where it is,
+        # and the design step is the design-only regularized solve
         model, prior = linear_setup(rng)
+        model.G_theta = np.zeros_like(model.G_theta)
         mu_t = prior.mu_theta0.copy()
         mu_z = rng.standard_normal(model.d_z)
-        u = model.evaluate(mu_t, mu_z)
-        it = MapIterate(mu_t, mu_z, model.u_target - u, model.G_theta, model.G_z, 1, 0.0)
-        dt, dz, _, _ = gn_step(it, prior, model.tau_Q, c_z0=7.0, fix_theta=True)
+        r, (dt, dz, _, _) = step_at(model, prior, mu_t, mu_z, (0.0, 7.0))
         assert np.all(dt == 0.0)
         Gz, tq = model.G_z, model.tau_Q
         H = tq * Gz.T @ Gz + np.eye(model.d_z) / 7.0
-        h = tq * Gz.T @ it.residual - mu_z / 7.0
+        h = tq * Gz.T @ r - mu_z / 7.0
         assert np.allclose(dz, np.linalg.solve(H, h), atol=1e-10)
 
 
@@ -166,8 +195,8 @@ class TestOptimizeMap:
         # driven to a bimodal, constraint-feasible layout
         p = make_topo_problem(nx=10, ny=6)
         prior = PriorConfig(tau_y0=1e-4, eps2=1e-10, field_prior=p.field_prior)
-        res = optimize_map(p, prior, MapOptions(max_iter=150, fix_theta=True,
-                                                gibbs_sweeps=200, gibbs_burn_in=50))
+        res = optimize_map(FixedTheta(p), prior, MapOptions(max_iter=150, gibbs_sweeps=200,
+                                                            gibbs_burn_in=50))
         assert np.array_equal(res.mu_theta, p.field_prior.mean)
         c, _ = constraint_value_and_gradient(p.constraint, res.mu_z)
         assert abs(c) <= 1e-6

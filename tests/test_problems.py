@@ -225,3 +225,12 @@ class TestConstraint:
             fd = (constraint_value_and_gradient(desc, z + e)[0]
                   - constraint_value_and_gradient(desc, z - e)[0]) / (2 * h)
             assert fd == pytest.approx(f[j], abs=1e-8)
+
+    @pytest.mark.parametrize("convert", [list, tuple])
+    def test_sequence_input_matches_array(self, rng, convert):
+        desc = ConstraintDescriptor(0.4, 1e-10)
+        z = rng.standard_normal(7)
+        c, f = constraint_value_and_gradient(desc, z)
+        c_seq, f_seq = constraint_value_and_gradient(desc, convert(z.tolist()))
+        assert c_seq == c
+        assert np.array_equal(f_seq, f)
