@@ -280,6 +280,7 @@ def run(cfg: RunConfig, stage: str = "all", outdir=None) -> RunArtifacts:
         "validate_forward_calls": validate_calls,
         "total_forward_calls": total,
         "map_converged": mres.converged,
+        "map_stationarity": f"{mres.grad_norm:.17g}",
         **({} if mres.phi_mean is None else {
             "map_phi_estimates": mres.phi_estimates,
             "map_gibbs_sweeps": mres.phi_estimates * cfg.topo_prior_sweeps,

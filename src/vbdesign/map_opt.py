@@ -29,7 +29,11 @@ step), so trials compare on the objective alone and the iterates stay
 feasible to rounding. The tail stops on the tighter TAIL_TOL, so the
 result is the fixed point rather than wherever a slow iteration crossed
 tol; once the steps are below tol, a rejected mix means the objective no
-longer changes above its float noise, and the run ends there.
+longer changes above its float noise, and the run ends there. Both stops
+take a damped step (damping factor below 1) only with a gradient norm of at
+most the tolerance in force times 1 + |F_mu|: such a step can be small
+because the damping made it so, which says nothing about the distance to
+the fixed point.
 """
 
 from __future__ import annotations
@@ -130,8 +134,9 @@ def gn_step(residual, G_theta, G_z, mu_z, v, prior: PriorConfig, tau_Q: float,
 def optimize_map(model, prior: PriorConfig, options: MapOptions = None,
                  init_mu_z=None) -> MapResult:
     """Iterate damped Gauss-Newton from the field's prior mean until both
-    relative step norms fall below the tolerance or the iteration budget
-    runs out."""
+    relative step norms fall below the tolerance, or the iteration budget
+    runs out. A step taken at a damping factor below 1 counts only when the
+    objective's gradient norm there is at most tol (1 + |F_mu|)."""
     opts = options or MapOptions()
     fp = prior.field_prior
     constrained = model.constraint is not None
@@ -272,9 +277,11 @@ def optimize_map(model, prior: PriorConfig, options: MapOptions = None,
                 stalled = True
                 break
             alpha_start = alpha if halvings else min(1.0, 2.0 * alpha)
+            undamped = alpha == 1.0
             rel_t = alpha * np.linalg.norm(dt) / den_t
             rel_z = alpha * np.linalg.norm(dz) / den_z
         else:
+            undamped = True
             rel_t = np.linalg.norm(mt_try - mu_theta) / den_t
             rel_z = np.linalg.norm(mz_try - mu_z) / den_z
         mu_theta, mu_z, u = mt_try, mz_try, u_try
@@ -301,9 +308,15 @@ def optimize_map(model, prior: PriorConfig, options: MapOptions = None,
                           step_norm_theta=rel_t, step_norm_z=rel_z,
                           constraint_c=_cval(model, mu_z), halvings=halvings,
                           accelerated=accelerated))
-        below_tol = rel_t < opts.tol and rel_z < opts.tol
         stop_tol = min(opts.tol, TAIL_TOL) if tail else opts.tol
-        if rel_t < stop_tol and rel_z < stop_tol:
+        below_tol = rel_t < opts.tol and rel_z < opts.tol
+        if below_tol and not undamped:
+            # halvings alone can shrink a damped step below any tolerance, so
+            # a small one counts only where the gradient vouches for it
+            grad = _stationarity(model, prior, _z_prior(opts, phi_mean), v, mu_z,
+                                 model.u_target - u, Gt, Gz)
+            below_tol = grad <= stop_tol * (1.0 + abs(F_cur))
+        if below_tol and rel_t < stop_tol and rel_z < stop_tol:
             converged = True
             break
 

@@ -49,21 +49,27 @@ class ValidationReport:
 
 
 def _draw_q(state: VariationalState, params: ModelParams, count, rng):
-    """count draws (eta_theta, y, eta_z) from q, in that stream order;
-    eta_z lives in the complement of W."""
+    """count draws (eta_theta, y, eta_z) from q, in that stream order, and
+    the whitened draws L^-1 eta_theta^T for the field prior's factor L;
+    eta_z lives in the complement of W.
+
+    eta_theta^T = L xi - B_th corr^T with B_th = L L^T G_theta^T, so the
+    whitened draws are xi - (L^T G_theta^T) corr^T: no d_theta^2 solve."""
     lr = state.lowrank
     n = lr.A.shape[0]
-    # L xi as U^T xi on the factor's Fortran-order view U = L^T
-    xt = dtrmm(1.0, lr.prior.chol.T, rng.standard_normal((state.d_theta, count)),
-               trans_a=1).T
+    # products with L and L^T on the factor's Fortran-order view U = L^T
+    U = lr.prior.chol.T
+    xi = rng.standard_normal((state.d_theta, count))
+    xt = dtrmm(1.0, U, xi, trans_a=1).T
     xy = sla.solve_triangular(lr.Py_cho[0].T, rng.standard_normal((state.d_y, count)),
                               lower=False).T
     e = rng.standard_normal((count, n)) / np.sqrt(lr.tau_Q)
     resid = xt @ lr.G_theta.T + xy @ lr.A.T + e
     corr = sla.cho_solve(lr.S_cho, resid.T).T
-    xi = rng.standard_normal((count, params.d_z))
-    eta_z = (xi - (xi @ params.W) @ params.W.T) / np.sqrt(state.tau_z)
-    return xt - corr @ lr.B_th.T, xy - corr @ lr.B_y.T, eta_z
+    xi_z = rng.standard_normal((count, params.d_z))
+    eta_z = (xi_z - (xi_z @ params.W) @ params.W.T) / np.sqrt(state.tau_z)
+    xi -= dtrmm(1.0, U, lr.G_theta.T) @ corr.T  # now the whitened draws
+    return xt - corr @ lr.B_th.T, xy - corr @ lr.B_y.T, eta_z, xi
 
 
 def _log_q_joint(state: VariationalState, eta_theta, y, white):
@@ -89,20 +95,19 @@ def estimate_nKL(model, state: VariationalState, params: ModelParams,
     k = d_z - d_y
     calls_before = model.forward_calls
 
-    eta_theta, y, eta_z = _draw_q(state, params, M, rng)
+    eta_theta, y, eta_z, white = _draw_q(state, params, M, rng)
 
-    # one solve whitens both the mean's deviation and the draws
+    # the draws come whitened; the mean's deviation takes one vector solve
     fp = prior.field_prior
-    white = sla.solve_triangular(
-        fp.chol, np.column_stack([params.mu_theta - fp.mean, eta_theta.T]),
-        lower=True, check_finite=False)
-    log_q = _log_q_joint(state, eta_theta, y, white[:, 1:])
+    dev = sla.solve_triangular(fp.chol, params.mu_theta - fp.mean, lower=True,
+                               check_finite=False)
+    log_q = _log_q_joint(state, eta_theta, y, white)
     if k > 0:
         log_q = log_q - 0.5 * state.tau_z * np.sum(eta_z**2, axis=1) \
             + 0.5 * k * (np.log(state.tau_z) - LOG_2PI)
 
-    half = white[:, 1:]
-    half += white[:, :1]  # in place: log q has read the draws' part already
+    half = white
+    half += dev[:, None]  # in place: log q has read the draws' part already
     log_p_theta = -0.5 * np.sum(half**2, axis=0) \
         - 0.5 * fp.d * LOG_2PI - 0.5 * fp.logdet()
     log_p_y = -0.5 * prior.tau_y0 * np.sum(y**2, axis=1) \

@@ -259,6 +259,13 @@ class TestRunPipeline:
         assert total == int(man["map_forward_calls"]) + int(man["validate_forward_calls"])
         assert int(man["validate_forward_calls"]) == 40
 
+    def test_manifest_gives_map_stationarity(self, heat_run):
+        out, art = heat_run
+        man = dict(line.split(" = ") for line in
+                   (out / "manifest.txt").read_text().splitlines())
+        assert float(man["map_stationarity"]) == art.map_result.grad_norm > 0.0
+        assert man["map_converged"] == str(art.map_result.converged)
+
     def test_spectrum_rows(self, heat_run):
         out, _ = heat_run
         rows = (out / "spectrum.csv").read_text().splitlines()

@@ -204,6 +204,37 @@ class TestOptimizeMap:
         assert np.mean((s < 0.05) | (s > 0.95)) > 0.8
 
 
+class Rippled(LinearModel):
+    """Linear outputs plus a fine ripple in the design that the Jacobians
+    leave out: near the linear optimum the merit rejects every trial until
+    the halvings have shrunk the step to the ripple's width."""
+
+    def evaluate(self, theta, z):
+        return super().evaluate(theta, z) + np.sin(self.G_z @ z / 1e-10)
+
+
+class TestDampedSteps:
+    def test_deep_damping_is_not_convergence(self):
+        rng = np.random.default_rng(0)
+        fp = make_field_prior(6, rng, mean=0.2)
+        prior = PriorConfig(tau_y0=1e-2, eps2=1e-6, field_prior=fp)
+        model = Rippled(rng.standard_normal((3, 6)), rng.standard_normal((3, 4)),
+                        rng.standard_normal(3), 2.0, fp)
+        res = optimize_map(model, prior, MapOptions(c_z0=50.0))
+        assert max(row["halvings"] for row in res.trace) >= 10
+        assert min(row["step_norm_z"] for row in res.trace[1:]) < 1e-5
+        assert not res.converged
+
+    def test_topo_8x5_small_damped_step_is_not_convergence(self):
+        # with a 200/50 spin budget this grid reaches a step of 2.7e-13 after
+        # 25 halvings, at stationarity 2.1e-3
+        p = make_topo_problem(nx=8, ny=5)
+        prior = PriorConfig(tau_y0=1e-4, eps2=1e-10, field_prior=p.field_prior)
+        res = optimize_map(p, prior, MapOptions(gibbs_sweeps=200, gibbs_burn_in=50))
+        assert res.grad_norm > 1e-5 * (1.0 + abs(res.F_mu))
+        assert not res.converged
+
+
 class TestFrozenTail:
     def test_mixed_tail_lands_on_tightly_converged_point(self):
         # the frozen tail converges only linearly under plain Gauss-Newton;
@@ -217,7 +248,10 @@ class TestFrozenTail:
 
         res = run()
         tight = run(tol=1e-9)
-        assert res.converged and tight.converged
+        # the 1e-9 reference runs to its budget: its Gauss-Newton steps stay
+        # at about 1.3e-9 relative, the objective's float-noise floor, and
+        # only damping shrinks them further, which is not convergence
+        assert res.converged and not tight.stalled
         assert any(row["accelerated"] for row in res.trace)
         assert tight.grad_norm <= 1e-5 * (1.0 + abs(tight.F_mu))
         err = np.max(np.abs(res.mu_z - tight.mu_z)) / np.max(np.abs(tight.mu_z))

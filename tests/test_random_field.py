@@ -92,9 +92,9 @@ class TestBuildCovariance:
         with pytest.raises(np.linalg.LinAlgError, match="failed even with nugget"):
             build_covariance(np.zeros((3, 2)), SG2, X0)
 
-    def test_factor_is_the_only_square_array(self):
-        # the kernel is factored over its own buffer: one d x d allocation
-        # at the peak, and the returned prior holds only the factor
+    def test_factor_is_the_only_square_array(self, rng):
+        # on the lattice no d x d kernel is formed: the factor is the one
+        # d x d allocation at the peak, and the returned prior holds only it
         mesh = build_regular_mesh(30, 25, 2.0, 1.0)
         pts = mesh.element_centroids
         d = len(pts)
@@ -106,16 +106,92 @@ class TestBuildCovariance:
             current, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 1.5 * square
-        assert current < 1.5 * square
+        assert peak < 1.1 * square
+        assert current < 1.1 * square
         held = [v for v in vars(prior).values()
                 if isinstance(v, np.ndarray) and v.size >= d * d]
         assert len(held) == 1 and held[0] is prior.chol
         assert prior.chol.shape == (d, d)
-        C = SG2 * np.exp(-cdist(pts, pts) / X0)
+        # off the lattice the kernel is factored over its own buffer
+        shuffled = pts[rng.permutation(d)]
+        assert random_field._lattice_block(shuffled) is None
+        C = SG2 * np.exp(-cdist(shuffled, shuffled) / X0)
         L, info = random_field._factor_in_place(C)
         assert info == 0 and np.shares_memory(L, C)
-        assert np.array_equal(L, prior.chol)
+        assert np.array_equal(L, build_covariance(shuffled, SG2, X0, MU0).chol)
+
+
+def dense_factor(pts, nugget=0.0):
+    """The dense path's factor of the kernel on pts, from its own helpers."""
+    C = np.empty((len(pts), len(pts)))
+    random_field._fill_kernel(C, pts, pts, SG2, X0)
+    C.flat[::len(pts) + 1] += nugget
+    L, info = random_field._factor_in_place(C)
+    assert info == 0
+    return L
+
+
+class TestLatticeFactor:
+    """The block Schur factor on lattices against LAPACK on the full kernel."""
+
+    @pytest.mark.parametrize("nx, ny", [(26, 17), (40, 20), (52, 34)])
+    def test_matches_dense_factor(self, nx, ny):
+        pts = build_regular_mesh(nx, ny, 2.0, 1.0).element_centroids
+        assert random_field._lattice_block(pts) == 2 * nx
+        L = build_covariance(pts, SG2, X0, MU0).chol
+        assert L.flags.c_contiguous
+        # row by row and in place: at 52x34 each d x d temporary is 100 MB
+        assert not any(L[i, i + 1:].any() for i in range(len(L)))
+        diff = dense_factor(pts)
+        logdet = 2.0 * np.sum(np.log(np.diag(L)))
+        ref_logdet = 2.0 * np.sum(np.log(np.diag(diff)))
+        assert abs(logdet - ref_logdet) <= 1e-12 * abs(ref_logdet)
+        diff -= L
+        assert max(diff.max(), -diff.min()) <= 1e-12 * max(L.max(), -L.min())
+
+    def test_other_point_sets_take_the_dense_path_bit_for_bit(self, rng):
+        mesh = build_regular_mesh(5, 4, 1.0, 0.8)
+        pts = mesh.element_centroids
+        repeated = np.vstack([pts[:1], pts])
+        cases = [(rng.uniform(size=(60, 2)), 0.0), (pts[rng.permutation(len(pts))], 0.0),
+                 (repeated, 1e-10 * SG2)]
+        for points, nugget in cases:
+            assert random_field._lattice_block(points) is None
+            got = build_covariance(points, SG2, X0, MU0).chol
+            assert np.array_equal(got, dense_factor(points, nugget))
+
+    def test_singular_lattice_takes_the_nugget_retry(self, monkeypatch):
+        # each row repeats its first point, so T_0 and the kernel are exactly
+        # singular while the points still form a lattice
+        pts = build_regular_mesh(5, 4, 1.0, 0.8).element_centroids.copy()
+        pts[1::10] = pts[0::10]
+        assert random_field._lattice_block(pts) == 10
+        d = len(pts)
+        assert not random_field._block_schur(np.zeros((d, d)), pts, 10, SG2, X0, 0.0)
+
+        def no_dense(C):
+            raise AssertionError("the lattice took the dense path")
+        monkeypatch.setattr(random_field, "_factor_in_place", no_dense)
+        prior = build_covariance(pts, SG2, X0, MU0)
+        expected = SG2 * np.exp(-cdist(pts, pts) / X0) + 1e-10 * SG2 * np.eye(d)
+        err = np.max(np.abs(prior.chol @ prior.chol.T - expected))
+        assert err <= 1e-12 * np.max(np.abs(expected))
+        assert not np.any(np.triu(prior.chol, 1))
+
+    def test_a_factor_failing_the_check_leaves_the_dense_path(self, monkeypatch):
+        # perturbed step factors give a factor off by about 1e-6, which the
+        # residual check of the last diagonal block rejects
+        pts = build_regular_mesh(8, 5, 1.0, 0.8).element_centroids
+        dpotrf = random_field.dpotrf
+
+        def perturbed(a, lower=0, **kwargs):
+            c, info = dpotrf(a, lower=lower, **kwargs)
+            return (c * (1.0 + 1e-6) if lower else c), info
+        monkeypatch.setattr(random_field, "dpotrf", perturbed)
+        d = len(pts)
+        assert not random_field._block_schur(np.zeros((d, d)), pts, 16, SG2, X0, 0.0)
+        got = build_covariance(pts, SG2, X0, MU0).chol
+        assert np.array_equal(got, dense_factor(pts))
 
 
 class TestSampleLogField:

@@ -30,20 +30,28 @@ class TestSampleQ:
     def test_eta_z_orthogonal_to_basis(self, rng):
         model, params, prior = linear_bundle(rng)
         st = vb_expectation(model.G_theta, model.G_z, params, prior, model.tau_Q)
-        _, _, eta_z = _draw_q(st, params, 20, rng)
+        _, _, eta_z, _ = _draw_q(st, params, 20, rng)
         assert np.max(np.abs(eta_z @ params.W)) <= 1e-10
 
     def test_joint_moments_match_state(self, rng):
         model, params, prior = linear_bundle(rng)
         st = vb_expectation(model.G_theta, model.G_z, params, prior, model.tau_Q)
         M = 10_000
-        eta_theta, y, _ = _draw_q(st, params, M, rng)
+        eta_theta, y, _, _ = _draw_q(st, params, M, rng)
         x = np.hstack([eta_theta, y])
         emp = x.T @ x / M
         ref = joint_cov(st)
         se = 4 * np.sqrt((np.outer(np.diag(ref), np.diag(ref))
                           + ref**2) / M)
         assert np.all(np.abs(emp - ref) <= se + 1e-12)
+
+    def test_whitened_draws_solve_the_prior_factor(self, rng):
+        # L^-1 eta_theta^T from the draw's own normals, against the solve
+        model, params, prior = linear_bundle(rng)
+        st = vb_expectation(model.G_theta, model.G_z, params, prior, model.tau_Q)
+        eta_theta, _, _, white = _draw_q(st, params, 50, rng)
+        expect = sla.solve_triangular(prior.field_prior.chol, eta_theta.T, lower=True)
+        assert np.max(np.abs(white - expect)) <= 1e-12 * np.max(np.abs(expect))
 
     def test_complement_variance(self, rng):
         model, params, prior = linear_bundle(rng)
@@ -115,7 +123,7 @@ class TestEstimateNKL:
                            np.random.default_rng(9)).log_weights
 
         replay = np.random.default_rng(9)
-        eta_theta, y, eta_z = _draw_q(st, params, M, replay)
+        eta_theta, y, eta_z, _ = _draw_q(st, params, M, replay)
         W = params.W
         theta = params.mu_theta + eta_theta
         zs = params.mu_z + y @ W.T + eta_z
