@@ -33,7 +33,9 @@ longer changes above its float noise, and the run ends there. Both stops
 take a damped step (damping factor below 1) only with a gradient norm of at
 most the tolerance in force times 1 + |F_mu|: such a step can be small
 because the damping made it so, which says nothing about the distance to
-the fixed point.
+the fixed point. A damped step below the stop tolerance that fails this
+bar ends the run as stalled, since the steps that follow it would no
+longer move the iterate.
 """
 
 from __future__ import annotations
@@ -134,9 +136,12 @@ def gn_step(residual, G_theta, G_z, mu_z, v, prior: PriorConfig, tau_Q: float,
 def optimize_map(model, prior: PriorConfig, options: MapOptions = None,
                  init_mu_z=None) -> MapResult:
     """Iterate damped Gauss-Newton from the field's prior mean until both
-    relative step norms fall below the tolerance, or the iteration budget
-    runs out. A step taken at a damping factor below 1 counts only when the
-    objective's gradient norm there is at most tol (1 + |F_mu|)."""
+    relative step norms fall below the tolerance in force (tol, or
+    min(tol, TAIL_TOL) in the frozen tail), or the iteration budget runs
+    out. A small step taken at alpha = 1, or an accepted mix, counts; one
+    taken at a damping factor below 1 counts only when the objective's
+    gradient norm there is at most the tolerance in force times
+    1 + |F_mu|, and otherwise ends the run as stalled."""
     opts = options or MapOptions()
     fp = prior.field_prior
     constrained = model.constraint is not None
@@ -309,6 +314,7 @@ def optimize_map(model, prior: PriorConfig, options: MapOptions = None,
                           constraint_c=_cval(model, mu_z), halvings=halvings,
                           accelerated=accelerated))
         stop_tol = min(opts.tol, TAIL_TOL) if tail else opts.tol
+        small = rel_t < stop_tol and rel_z < stop_tol
         below_tol = rel_t < opts.tol and rel_z < opts.tol
         if below_tol and not undamped:
             # halvings alone can shrink a damped step below any tolerance, so
@@ -316,7 +322,12 @@ def optimize_map(model, prior: PriorConfig, options: MapOptions = None,
             grad = _stationarity(model, prior, _z_prior(opts, phi_mean), v, mu_z,
                                  model.u_target - u, Gt, Gz)
             below_tol = grad <= stop_tol * (1.0 + abs(F_cur))
-        if below_tol and rel_t < stop_tol and rel_z < stop_tol:
+            if small and not below_tol:
+                # the merit admits only steps the damping made tiny: further
+                # iterations would not move the iterate
+                stalled = True
+                break
+        if below_tol and small:
             converged = True
             break
 

@@ -24,7 +24,7 @@ from scipy.linalg.blas import dtrsm
 from scipy.linalg.lapack import dpotrf
 from scipy.spatial.distance import cdist
 
-SCHUR_ROWS = 128  # generator rows per product of a Schur step
+SCHUR_ROWS = 128  # generator rows per product of a Schur step: slab and product stay in cache
 
 
 @dataclass
@@ -168,10 +168,11 @@ def build_covariance(centroids: np.ndarray, sigma_g2: float, x0: float,
     On a lattice (`_lattice_block`) the factor comes from the block Schur
     algorithm (`_block_schur`), which fills only the kernel's first block
     row; a factor that breaks down or fails the residual check of the last
-    diagonal block leaves the work to the dense path. Otherwise the kernel
-    is filled and factorized in place. A single nugget retry (1e-10 *
-    sigma_g2 on the diagonal) covers the near-singular fine-grid case of the
-    exponential kernel on either path; the failed dense factorization has
+    diagonal block leaves the work to the dense path, and other point sets
+    take that path at once: the kernel is filled and factorized in place.
+    Only when both fail does a single nugget retry (1e-10 * sigma_g2 on the
+    diagonal) run, in the same order, for the near-singular fine-grid case
+    of the exponential kernel; the failed dense factorization has
     overwritten the kernel, so its retry builds it again.
     """
     if not 0.0 < x0 < np.inf:
@@ -184,22 +185,20 @@ def build_covariance(centroids: np.ndarray, sigma_g2: float, x0: float,
         raise ValueError("centroids must be finite")
     d = pts.shape[0]
     b = _lattice_block(pts)
-    if b is not None:
-        L = np.zeros((d, d))
-        for nugget in (0.0, 1e-10 * sigma_g2):
+    for nugget in (0.0, 1e-10 * sigma_g2):
+        if b is not None:
+            L = np.zeros((d, d))
             if _block_schur(L, pts, b, sigma_g2, x0, nugget):
                 return FieldPrior(float(mu_theta0), float(sigma_g2), float(x0), L)
-        del L
-    C = np.empty((d, d))
-    _fill_kernel(C, pts, pts, sigma_g2, x0)
-    L, info = _factor_in_place(C)
-    if info > 0:
+            del L
+        C = np.empty((d, d))
         _fill_kernel(C, pts, pts, sigma_g2, x0)
-        C.flat[::d + 1] += 1e-10 * sigma_g2
+        C.flat[::d + 1] += nugget
         L, info = _factor_in_place(C)
-        if info > 0:
-            raise np.linalg.LinAlgError("covariance factorization failed even with nugget")
-    return FieldPrior(float(mu_theta0), float(sigma_g2), float(x0), L)
+        if not info:
+            return FieldPrior(float(mu_theta0), float(sigma_g2), float(x0), L)
+        del C, L
+    raise np.linalg.LinAlgError("covariance factorization failed even with nugget")
 
 
 def sample_log_field(prior: FieldPrior, seed) -> np.ndarray:

@@ -223,23 +223,26 @@ class TestDampedSteps:
         res = optimize_map(model, prior, MapOptions(c_z0=50.0))
         assert max(row["halvings"] for row in res.trace) >= 10
         assert min(row["step_norm_z"] for row in res.trace[1:]) < 1e-5
-        assert not res.converged
+        assert res.stalled and not res.converged
 
     def test_topo_8x5_small_damped_step_is_not_convergence(self):
-        # with a 200/50 spin budget this grid reaches a step of 2.7e-13 after
-        # 25 halvings, at stationarity 2.1e-3
+        # with a 200/50 spin budget this grid reaches a relative step of
+        # 9e-12 after 20 halvings, at stationarity 2.1e-3
         p = make_topo_problem(nx=8, ny=5)
         prior = PriorConfig(tau_y0=1e-4, eps2=1e-10, field_prior=p.field_prior)
         res = optimize_map(p, prior, MapOptions(gibbs_sweeps=200, gibbs_burn_in=50))
         assert res.grad_norm > 1e-5 * (1.0 + abs(res.F_mu))
-        assert not res.converged
+        assert res.stalled and not res.converged
+        # it ends on that step rather than spending its budget on steps
+        # that no longer move the iterate
+        assert res.iterations < MapOptions().max_iter
 
 
 class TestFrozenTail:
     def test_mixed_tail_lands_on_tightly_converged_point(self):
         # the frozen tail converges only linearly under plain Gauss-Newton;
         # the mixed tail must reach the same fixed point that a run to a
-        # 1e-9 step tolerance reaches, not merely stop where steps get small
+        # 2e-9 step tolerance reaches, not merely stop where steps get small
         def run(**kw):
             p = make_topo_problem(nx=10, ny=6)
             prior = PriorConfig(tau_y0=1e-4, eps2=1e-10, field_prior=p.field_prior)
@@ -247,11 +250,11 @@ class TestFrozenTail:
                                                      gibbs_burn_in=50, **kw))
 
         res = run()
-        tight = run(tol=1e-9)
-        # the 1e-9 reference runs to its budget: its Gauss-Newton steps stay
-        # at about 1.3e-9 relative, the objective's float-noise floor, and
-        # only damping shrinks them further, which is not convergence
-        assert res.converged and not tight.stalled
+        # the objective's float noise keeps the Gauss-Newton steps near
+        # 1.3e-9 relative; below that only damping shrinks them, and a 1e-9
+        # run stalls there, so the reference ends on an undamped 2e-9 step
+        tight = run(tol=2e-9)
+        assert res.converged and tight.converged
         assert any(row["accelerated"] for row in res.trace)
         assert tight.grad_norm <= 1e-5 * (1.0 + abs(tight.F_mu))
         err = np.max(np.abs(res.mu_z - tight.mu_z)) / np.max(np.abs(tight.mu_z))

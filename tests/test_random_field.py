@@ -168,15 +168,37 @@ class TestLatticeFactor:
         assert random_field._lattice_block(pts) == 10
         d = len(pts)
         assert not random_field._block_schur(np.zeros((d, d)), pts, 10, SG2, X0, 0.0)
+        schur = np.zeros((d, d))
+        assert random_field._block_schur(schur, pts, 10, SG2, X0, 1e-10 * SG2)
 
-        def no_dense(C):
-            raise AssertionError("the lattice took the dense path")
-        monkeypatch.setattr(random_field, "_factor_in_place", no_dense)
+        # the nugget comes only after the dense path failed without one too
+        infos = []
+        factor = random_field._factor_in_place
+
+        def dense(C):
+            L, info = factor(C)
+            infos.append(info)
+            return L, info
+        monkeypatch.setattr(random_field, "_factor_in_place", dense)
         prior = build_covariance(pts, SG2, X0, MU0)
+        assert len(infos) == 1 and infos[0] > 0
+        assert np.array_equal(prior.chol, schur)
         expected = SG2 * np.exp(-cdist(pts, pts) / X0) + 1e-10 * SG2 * np.eye(d)
         err = np.max(np.abs(prior.chol @ prior.chol.T - expected))
         assert err <= 1e-12 * np.max(np.abs(expected))
         assert not np.any(np.triu(prior.chol, 1))
+
+    def test_a_schur_breakdown_keeps_the_prior_free_of_nugget(self, monkeypatch):
+        # the Schur algorithm is only weakly stable: where it breaks down on a
+        # kernel that LAPACK factors, the dense path runs before any nugget
+        pts = build_regular_mesh(8, 5, 1.0, 0.8).element_centroids
+        schur = random_field._block_schur
+
+        def breaks_without_nugget(L, pts, b, sigma_g2, x0, nugget):
+            return bool(nugget) and schur(L, pts, b, sigma_g2, x0, nugget)
+        monkeypatch.setattr(random_field, "_block_schur", breaks_without_nugget)
+        got = build_covariance(pts, SG2, X0, MU0).chol
+        assert np.array_equal(got, dense_factor(pts))
 
     def test_a_factor_failing_the_check_leaves_the_dense_path(self, monkeypatch):
         # perturbed step factors give a factor off by about 1e-6, which the
