@@ -33,7 +33,7 @@ from .vb import (
 )
 from .stiefel import StiefelProblem, cayley_step, gradient_J, objective_FW, optimize_W
 from .map_opt import MapOptions, gn_step, optimize_map
-from .topo_prior import build_neighbor_graph, estimate_phi_mean, log_prior_mu_z
+from .topo_prior import build_neighbor_graph, draw_chain, estimate_phi_mean, log_prior_mu_z
 from .validation import estimate_nKL
 
 __version__ = "0.1.0"

@@ -14,8 +14,8 @@ For the volume-constrained problem the step solves the KKT system of the
 linearized equality constraint; acceptance uses an l1 merit so feasibility
 restoration is never rejected. The z regularizer comes from the bimodal
 spatial prior through the current spin-mean estimate; the spin chain is
-restarted from a fixed seed every iteration (common random numbers), and
-is frozen once the material pattern stops changing, so the terminal phase
+restarted every iteration on one stream, drawn once per run from a fixed
+seed (common random numbers), and is frozen once the material pattern stops changing, so the terminal phase
 is a smooth deterministic Gauss-Newton iteration.
 
 That tail is large-residual Gauss-Newton and converges only linearly (about
@@ -156,22 +156,25 @@ def optimize_map(model, prior: PriorConfig, options: MapOptions = None,
     else:
         mu_z = np.zeros(model.d_z)
 
-    # the neighbor graph depends on the mesh only: build it once
-    chain = topo_prior.new_state(topo_prior.build_neighbor_graph(model.mesh),
-                                 m=opts.prior_m, s2=opts.prior_s2) if constrained else None
+    # the neighbor graph depends on the mesh only and every spin estimate
+    # reads the same stream: build and draw them once
+    if constrained:
+        chain = topo_prior.new_state(topo_prior.build_neighbor_graph(model.mesh),
+                                     m=opts.prior_m, s2=opts.prior_s2)
+        draws = topo_prior.draw_chain(np.random.default_rng(opts.gibbs_seed),
+                                      chain.phi.shape[0], opts.gibbs_sweeps)
 
     phi_estimates = spin_passes = 0
 
     def phi_estimate(mz):
-        # fresh chain (spins from sign(mz), beta = 0, no passes) and fixed
+        # fresh chain (spins from sign(mz), beta = 0, no passes) on the same
         # stream each call: <phi> is a deterministic function of mu_z, so
         # late-iteration steps are noise-free
         nonlocal phi_estimates, spin_passes
         phi_estimates += 1
-        rng = np.random.default_rng(opts.gibbs_seed)
         st = replace(chain, phi=topo_prior.data_side_spins(mz))
         phi_mean = topo_prior.estimate_phi_mean(
-            st, mz, opts.gibbs_sweeps, opts.gibbs_burn_in, rng)
+            st, mz, opts.gibbs_sweeps, opts.gibbs_burn_in, draws)
         spin_passes += st.passes
         return phi_mean
 

@@ -42,12 +42,10 @@ EPS_C2 = 1e-10            # soft-enforcement variance of that constraint
 
 
 def sigmoid(x):
-    out = np.empty_like(x, dtype=float)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    # exp(-|x|) is exp(-x) where x >= 0 and exp(x) elsewhere: never overflows
+    e = np.exp(-np.abs(x))
+    den = 1.0 + e
+    return np.where(x >= 0, 1.0 / den, e / den)
 
 
 @dataclass

@@ -17,6 +17,14 @@ when log u_j < -2 phi_j (drive_j - beta s_j), with s_j the sum over the
 deg_j entries of its neighbor row. A move on beta follows each sweep.
 `estimate_phi_mean` runs this chain bit for bit in one sweep loop, as follows.
 
+Stream. `draw_chain` draws a chain's whole stream at once, calling the
+generator as the chain would, into a read-only `ChainDraws`: the logs of the
+site uniforms, a per-sweep flag for a zero draw, the beta steps and the
+logs of their acceptance uniforms. It takes 8 sweeps d bytes (3.5 MB at
+26x17, 14 MB at 52x34). Every spin estimate of a MAP run starts from the
+same seed, so `map_opt.optimize_map` draws the stream once per run, and a
+sweep makes no generator call.
+
 Frozen sites. `Generator.random()` returns multiples of 2^-53, so log u >=
 -53 log 2 = -36.737 unless u = 0; beta stays in BETA_BOUNDS (checked on
 entry), so |beta s_j| <= 2 deg_j. Once 2 (|drive_j| - 2 deg_j) > 36.737
@@ -50,10 +58,16 @@ same sites at the start of the sweep, d slots further on; and the zero that
 padded entries read. The candidates' neighbor rows are renumbered once: an
 entry at or after the site in raster order is read from its start-of-sweep
 slot, any other from its current slot. While every frozen site is aligned
-and no draw is 0, the frozen sites are left alone; otherwise they are
-flipped before the passes. The start-of-sweep slots take the current
-values after them. The logs are taken of the candidates' draws only.
-Neighbor sums are small integers, so their order does not matter.
+and the sweep's zero flag is clear, the frozen sites are left alone;
+otherwise they are flipped before the passes. After the passes the
+candidates' start-of-sweep slots take their current values, and the frozen
+sites' slots do so only after a sweep that flipped one of them. A sweep
+reads its candidates' logs from the draws. The post-burn-in spin sums are
+added every sweep for the candidates; for the frozen sites they are added
+by count, once for each stretch of sweeps in which they cannot flip. So a
+sweep does no d-length work while the frozen sites hold, apart from the
+beta move's row sums below. Neighbor and spin sums are small integers,
+so their order does not matter.
 
 Beta move. It scores the candidate rows, for both betas in one (2, .)
 pass, and scatters the terms into a zero-filled (2, d) array whose row sums
@@ -64,7 +78,8 @@ numpy's pairwise sum thus adds the same d numbers in the same order as a
 full-length call. While a frozen site is anti-aligned, which a zero draw
 can bring about at any sweep, the move scores all d rows. With no
 candidates both pseudo-likelihoods are 0.0, and since log u < 0 the move
-accepts every proposal inside the box without scoring anything.
+accepts every proposal inside the box without scoring anything. The move
+reads its step and the log of its acceptance uniform from the draws.
 """
 
 from __future__ import annotations
@@ -143,46 +158,95 @@ def data_side_spins(mu_z) -> np.ndarray:
     return np.where(np.asarray(mu_z) >= 0.0, 1, -1).astype(np.int8)
 
 
-def _beta_move(state: TopoPriorState, phi, drive, sums, rng, terms, rows) -> None:
+@dataclass(frozen=True)
+class ChainDraws:
+    """The random stream of `sweeps` chain sweeps on d sites, read-only.
+
+    Row t of `log_u` holds the logs of sweep t's site uniforms, -inf where
+    a draw was 0, and `zero[t]` says whether any was. `steps` and `log_a`
+    hold the beta proposal steps and the logs of their acceptance uniforms,
+    or are None when the chain has no beta move. 8 sweeps d bytes.
+    """
+    log_u: np.ndarray
+    zero: np.ndarray
+    steps: np.ndarray | None = None
+    log_a: np.ndarray | None = None
+
+
+def draw_chain(rng, d: int, sweeps: int, update_beta: bool = True) -> ChainDraws:
+    """Draw the stream of a `sweeps`-sweep chain on d sites from `rng`.
+
+    The generator is called as the raster chain calls it: per sweep
+    `random(d)`, then `standard_normal()` and `random()` when there is a
+    beta move. So one draws object serves every chain of a run that would
+    start from a fresh generator on the same seed.
+    """
+    u = np.empty((sweeps, d))
+    steps = np.empty(sweeps) if update_beta else None
+    accept = np.empty(sweeps) if update_beta else None
+    for t in range(sweeps):
+        u[t] = rng.random(d)
+        if update_beta:
+            steps[t] = BETA_STEP * rng.standard_normal()
+            accept[t] = rng.random()
+    zero = ~u.all(axis=1)
+    with np.errstate(divide="ignore"):
+        log_u = np.log(u, out=u)
+        log_a = None if accept is None else np.log(accept)
+    for a in (log_u, zero, steps, log_a):
+        if a is not None:
+            a.flags.writeable = False
+    return ChainDraws(log_u, zero, steps, log_a)
+
+
+def _beta_move(state: TopoPriorState, step: float, log_a: float, x, cols, drive,
+               terms, rows) -> None:
     """Random-walk move on beta under the Besag pseudo-likelihood.
 
     The exact conditional would need the spin partition function, which is
-    out of reach; proposals outside the prior box are rejected. `phi`,
-    `drive` and `sums` are the scored rows. They fill columns `rows` of the
-    (2, d) `terms`, whose other entries must be 0.0. Each pseudo-likelihood
-    is a row sum of `terms`, so it equals the full-length sum whenever the
-    rows left out score exactly 0.0. With no rows both are 0.0, and log u < 0
-    accepts every proposal inside the box.
+    out of reach; proposals outside the prior box are rejected. The scored
+    rows are the first len(`rows`) slots of `x`, with drives `drive` and
+    neighbor slots `cols` (width, len(rows)). They fill columns `rows` of
+    the (2, d) `terms`, whose other entries must be 0.0. Each
+    pseudo-likelihood is a row sum of `terms`, so it equals the full-length
+    sum whenever the rows left out score exactly 0.0. With no rows both are
+    0.0, and log u < 0 accepts every proposal inside the box.
     """
-    prop = state.beta + BETA_STEP * rng.standard_normal()
-    u = rng.random()
+    prop = state.beta + step
     if not BETA_BOUNDS[0] <= prop <= BETA_BOUNDS[1]:
         return
-    if len(phi):
-        a = drive - np.array([[prop], [state.beta]]) * sums
-        terms[:, rows] = phi * a - np.logaddexp(a, -a)
-        new, old = terms.sum(axis=1)
-        if not np.log(u) < new - old:
+    if len(rows):
+        a = drive - np.array([[prop], [state.beta]]) * np.add.reduce(x[cols])
+        scored = x[:len(rows)] * a - np.logaddexp(a, -a)
+        terms[0, rows] = scored[0]
+        terms[1, rows] = scored[1]
+        new, old = np.add.reduce(terms, axis=1).tolist()
+        if not log_a < new - old:
             return
     state.beta = float(prop)
 
 
 def estimate_phi_mean(state: TopoPriorState, mu_z: np.ndarray, sweeps: int,
-                      burn_in: int, rng: np.random.Generator,
-                      update_beta: bool = True) -> np.ndarray:
+                      burn_in: int, draws: ChainDraws) -> np.ndarray:
     """Post-burn-in empirical spin mean, also stored on the state.
 
-    Runs `sweeps` raster-order sweeps, each offering every site a flip
-    accepted with min(1, p(-phi_j)/p(phi_j)) under its full conditional and
-    each followed by a beta move when `update_beta` is set. Each sweep runs
-    Jacobi passes over the candidate sites to the raster scan's fixed point,
-    with the frozen sites decided by their own draws (module docstring), and
-    adds its passes to `state.passes`.
+    Runs `sweeps` raster-order sweeps on the stream `draws` (from
+    `draw_chain`), each offering every site a flip accepted with
+    min(1, p(-phi_j)/p(phi_j)) under its full conditional and each followed
+    by a beta move when the draws hold one. Each sweep runs Jacobi passes
+    over the candidate sites to the raster scan's fixed point, with the
+    frozen sites decided by their own draws and summed by count over each
+    stretch of sweeps in which they cannot flip (module docstring), and adds
+    its passes to `state.passes`. The draws are only read, so a run draws
+    them once (8 sweeps d bytes) for all its calls.
     """
     if not 0 <= burn_in < sweeps:
         raise ValueError("need 0 <= burn_in < sweeps")
     _check_beta(state.beta)
     d = state.phi.shape[0]
+    if draws.log_u.shape != (sweeps, d):
+        raise ValueError(f"draws of shape {draws.log_u.shape} for {sweeps} sweeps "
+                         f"on {d} sites")
     drive = (state.m / state.s2) * np.asarray(mu_z, dtype=float)
     deg = np.count_nonzero(state.neighbors >= 0, axis=1)
     frozen = 2.0 * (np.abs(drive) - _BETA_MAX * deg) > _FROZEN_EDGE
@@ -209,42 +273,50 @@ def estimate_phi_mean(state: TopoPriorState, mu_z: np.ndarray, sweeps: int,
     xc, cdrv, start = x[:nc], drv[:nc], x[d:d + nc]
     fz, fdrv, fsites = x[nc:d], drv[nc:], order[nc:]
     log_u = np.empty(nc)
-    moved = np.empty(nc, dtype=bool)
+    dx = np.empty(nc)
+    no_flip = np.zeros(feeds.size, dtype=bool)
+    zero = draws.zero.tolist()
+    beta_move = draws.steps is not None
+    if beta_move:
+        steps, log_a = draws.steps.tolist(), draws.log_a.tolist()
 
     terms = np.zeros((2, d))        # pseudo-likelihood terms, candidate columns only
     aligned = bool(np.all(fz * fdrv > 0.0))
-    acc = np.zeros(d)
+    acc = np.zeros(d)               # candidates every sweep, frozen sites by stretch
+    held = burn_in                  # first counted sweep of the frozen values held
     passes = 0
-    with np.errstate(divide="ignore"):
-        for t in range(sweeps):
-            u = rng.random(d)
-            np.log(u[cand], out=log_u)
-            quiet = aligned and u.all()
-            if not quiet:   # anti-aligned frozen sites flip, aligned ones on u = 0
-                np.negative(fz, out=fz, where=(fz * fdrv < 0.0) | (u[fsites] == 0.0))
-                aligned = bool(np.all(fz * fdrv > 0.0))
-            if nc:
-                bar = -2.0 * start
-                flip = np.zeros(nc, dtype=bool)     # where xc != start
-                for p in range(1, nc + 2):
-                    a = cdrv - state.beta * np.add.reduce(x[cols])
-                    new = log_u < bar * a
-                    np.not_equal(new, flip, out=moved)
-                    np.negative(xc, out=xc, where=moved)
-                    flip = new
-                    if not np.count_nonzero(moved[feeds]):     # no candidate reads a change
-                        break
-                else:
-                    raise RuntimeError("spin sweep found no fixed point in nc + 1 passes")
-                passes += p
-            x[d:2 * d] = x[:d]
-            if update_beta and aligned:
-                _beta_move(state, xc, cdrv, np.add.reduce(x[cols]), rng, terms, cand)
-            elif update_beta:   # an anti-aligned frozen site scores: all d rows
-                _beta_move(state, x[:d], drv, x[slots].sum(axis=1), rng,
-                           np.zeros((2, d)), order)
-            if t >= burn_in:
-                acc += x[:d]
+    for t in range(sweeps):
+        turned = False
+        if not (aligned and not zero[t]):  # anti-aligned frozen sites flip, aligned ones on u = 0
+            turn = (fz * fdrv < 0.0) | (draws.log_u[t, fsites] == -np.inf)
+            if turn.any():
+                turned = True
+                acc[nc:] += max(t - held, 0) * fz
+                held = max(t, burn_in)
+                np.negative(fz, out=fz, where=turn)
+            aligned = bool(np.all(fz * fdrv > 0.0))
+        if nc:
+            np.take(draws.log_u[t], cand, out=log_u)
+            bar, fed = -2.0 * start, no_flip    # fed: the flips of `feeds`
+            for p in range(1, nc + 2):
+                flip = log_u < bar * (cdrv - state.beta * np.add.reduce(x[cols]))
+                np.add(start, np.multiply(bar, flip, out=dx), out=xc)   # -start where flip
+                prev, fed = fed, flip[feeds]
+                if not np.count_nonzero(fed != prev):    # no candidate reads a change
+                    break
+            else:
+                raise RuntimeError("spin sweep found no fixed point in nc + 1 passes")
+            passes += p
+            start[:] = xc
+        if turned:
+            x[d + nc:2 * d] = fz
+        if beta_move and aligned:
+            _beta_move(state, steps[t], log_a[t], x, cols, cdrv, terms, cand)
+        elif beta_move:     # an anti-aligned frozen site scores: all d rows
+            _beta_move(state, steps[t], log_a[t], x, slots.T, drv, np.zeros((2, d)), order)
+        if t >= burn_in:
+            acc[:nc] += xc
+    acc[nc:] += (sweeps - held) * fz
     state.passes += passes
     state.phi[order] = x[:d]
     state.phi_mean = np.empty(d)

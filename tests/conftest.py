@@ -7,8 +7,9 @@ import scipy.linalg as sla
 
 from vbdesign.mesh_fem import build_regular_mesh
 from vbdesign.random_field import FieldPrior
-from vbdesign.topo_prior import (BETA_BOUNDS, BETA_STEP, MODE_LOCATION, build_neighbor_graph,
-                                 estimate_phi_mean, new_state)
+from vbdesign.topo_prior import (BETA_BOUNDS, BETA_STEP, MODE_LOCATION, ChainDraws,
+                                 build_neighbor_graph, draw_chain, estimate_phi_mean,
+                                 new_state)
 from vbdesign.vb import ModelParams, PriorConfig, initial_W
 
 
@@ -140,20 +141,28 @@ def raster_phi_mean(neighbors, mu_z, sweeps, burn_in, rng, m=MODE_LOCATION, s2=1
                     phi=None, beta=0.0, update_beta=True, trace=None, proposals=None):
     """Reference estimate_phi_mean on the raster kernel, drawing the same stream.
 
-    Spins start from `phi` (default: the data side of mu_z). `trace`, when
-    given, collects (spins, beta) after each sweep and its beta move, and
-    `proposals` the beta proposals. Returns (phi_mean, phi, beta).
+    `rng` is a generator, or a ChainDraws to read. Spins start from
+    `phi` (default: the data side of mu_z). `trace`, when given, collects
+    (spins, beta) after each sweep and its beta move, and `proposals` the
+    beta proposals. Returns (phi_mean, phi, beta).
     """
     phi = np.where(mu_z >= 0.0, 1, -1).astype(np.int8) if phi is None else phi.copy()
     drive = (m / s2) * mu_z
     acc = np.zeros(len(phi))
+    stored = isinstance(rng, ChainDraws)
     for t in range(sweeps):
-        with np.errstate(divide="ignore"):
-            log_u = np.log(rng.random(len(phi)))
+        if stored:
+            log_u = rng.log_u[t]
+        else:
+            with np.errstate(divide="ignore"):
+                log_u = np.log(rng.random(len(phi)))
         raster_sweep(phi, neighbors, drive, beta, log_u)
         if update_beta:
-            prop = beta + BETA_STEP * rng.standard_normal()
-            log_a = np.log(rng.random())
+            if stored:
+                prop, log_a = beta + rng.steps[t], rng.log_a[t]
+            else:
+                prop = beta + BETA_STEP * rng.standard_normal()
+                log_a = np.log(rng.random())
             if proposals is not None:
                 proposals.append(prop)
             if BETA_BOUNDS[0] <= prop <= BETA_BOUNDS[1]:
@@ -206,8 +215,9 @@ def replay_chain(neighbors, mu_z, sweeps, burn_in, make_rng, m=MODE_LOCATION, s2
     """The raster reference and whether estimate_phi_mean reproduces it.
 
     Both chains start from the same spins and beta and draw from their own
-    `make_rng()` stream. They agree when phi_mean, the final spins, beta and
-    the generator state are all equal. Returns the reference's
+    `make_rng()` stream, estimate_phi_mean through draw_chain. They agree
+    when phi_mean, the final spins, beta and the generator state are all
+    equal. Returns the reference's
     (phi_mean, phi, beta) and that verdict.
     """
     ref_rng, rng = make_rng(), make_rng()
@@ -216,7 +226,8 @@ def replay_chain(neighbors, mu_z, sweeps, burn_in, make_rng, m=MODE_LOCATION, s2
     st = new_state(neighbors, mu_z, m=m, s2=s2, beta=beta)
     if phi is not None:
         st.phi[:] = phi
-    pm = estimate_phi_mean(st, mu_z, sweeps, burn_in, rng, update_beta)
+    pm = estimate_phi_mean(st, mu_z, sweeps, burn_in,
+                           draw_chain(rng, len(neighbors), sweeps, update_beta))
     same = (np.array_equal(pm, ref[0]) and np.array_equal(st.phi, ref[1])
             and st.beta == ref[2] and generator_state(rng) == generator_state(ref_rng))
     return ref, same

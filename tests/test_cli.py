@@ -79,11 +79,11 @@ seed = 4
 """
 
 
-def raster_estimate(state, mu_z, sweeps, burn_in, rng, update_beta=True):
+def raster_estimate(state, mu_z, sweeps, burn_in, draws):
     """estimate_phi_mean through the raster reference, which counts no passes."""
     pm, state.phi[:], state.beta = raster_phi_mean(
-        state.neighbors, np.asarray(mu_z, dtype=float), sweeps, burn_in, rng, state.m,
-        state.s2, state.phi, state.beta, update_beta)
+        state.neighbors, np.asarray(mu_z, dtype=float), sweeps, burn_in, draws, state.m,
+        state.s2, state.phi, state.beta, draws.steps is not None)
     state.phi_mean = pm
     return pm.copy()
 
@@ -340,6 +340,21 @@ class TestRunPipeline:
         assert int(man["map_gibbs_sweeps"]) == 150 * len(calls)
         heat_man = (heat_run[0] / "manifest.txt").read_text()
         assert "map_phi_estimates" not in heat_man and "map_gibbs_sweeps" not in heat_man
+
+    def test_map_run_draws_the_chain_once(self, tmp_path, monkeypatch):
+        # every spin estimate of a run reads one stream, drawn at the first
+        draws = []
+
+        def counted(*args, **kwargs):
+            draws.append(args[2])
+            return draw(*args, **kwargs)
+        draw = topo_prior.draw_chain
+        monkeypatch.setattr(topo_prior, "draw_chain", counted)
+        art = run(parse_config(SMALL_TOPO), stage="map", outdir=tmp_path / "topo")
+        assert art.map_result.phi_estimates > 1 and draws == [150]
+        draws.clear()
+        run(parse_config(SMALL_HEAT), stage="map", outdir=tmp_path / "heat")
+        assert draws == []
 
     def test_manifest_counts_spin_passes(self, heat_run, tmp_path, monkeypatch):
         # each call adds its Jacobi passes to its state, at least one per

@@ -13,6 +13,7 @@ from vbdesign.problems import (
     log_utility,
     make_heat_problem,
     make_topo_problem,
+    sigmoid,
 )
 
 
@@ -192,6 +193,25 @@ class TestLogUtility:
         r = heat_small.u_target - u
         assert log_utility(heat_small, u) == pytest.approx(
             -0.5 * heat_small.tau_Q * float(r @ r))
+
+
+def masked_sigmoid(x):
+    """The two-branch logistic, each branch on its own mask of x."""
+    out = np.empty_like(x, dtype=float)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+def test_sigmoid_bitwise_equals_masked_formula():
+    gen = np.random.default_rng(6)
+    x = np.concatenate([gen.standard_normal(3000) * scale for scale in (1.0, 40.0, 1e7)]
+                       + [[0.0, -0.0, np.inf, -np.inf, 800.0, -800.0, 36.0, -36.0]])
+    got, want = sigmoid(x), masked_sigmoid(x)
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    assert got[-8:-2].tolist() == [0.5, 0.5, 1.0, 0.0, 1.0, 0.0]
 
 
 class TestConstraint:

@@ -8,14 +8,17 @@ import numpy as np
 import pytest
 import scipy.stats
 
-from conftest import four_site_chain, raster_sweep, replay_chain, sweep_levels
+from conftest import (four_site_chain, raster_phi_mean, raster_sweep, replay_chain,
+                      sweep_levels)
 from vbdesign.map_opt import MapOptions, _z_prior
 from vbdesign.mesh_fem import build_regular_mesh
 from vbdesign.topo_prior import (
     BETA_BOUNDS,
+    BETA_STEP,
     MODE_LOCATION,
     build_neighbor_graph,
     data_side_spins,
+    draw_chain,
     estimate_phi_mean,
     log_prior_mu_z,
     new_state,
@@ -220,7 +223,8 @@ class TestGibbsSweep:
             for _ in range(20):
                 drive = rng.standard_normal(d)
                 u = rng.random(d)
-                pm = estimate_phi_mean(st, drive, 1, 0, FixedDraws(u), update_beta=False)
+                pm = estimate_phi_mean(st, drive, 1, 0,
+                                       draw_chain(FixedDraws(u), d, 1, update_beta=False))
                 raster_sweep(phi_r, nb, drive, beta, np.log(u))
                 assert np.array_equal(st.phi, phi_r)
                 assert np.array_equal(pm, phi_r)
@@ -319,7 +323,7 @@ class TestGibbsSweep:
         assert flip_counts(data_side_spins(mu), trace).sum() == 0
         assert max(proposals) > BETA_BOUNDS[1]
         st = new_state(nb, mu, beta=1.95)
-        estimate_phi_mean(st, mu, 50, 10, np.random.default_rng(12))
+        estimate_phi_mean(st, mu, 50, 10, draw_chain(np.random.default_rng(12), d, 50))
         assert st.passes == 0
 
     def test_flip_travels_whole_chain(self):
@@ -347,7 +351,7 @@ class TestGibbsSweep:
         passes = []
         for spins, beta in trace:
             before = st.passes
-            estimate_phi_mean(st, mu, 1, 0, rng)
+            estimate_phi_mean(st, mu, 1, 0, draw_chain(rng, d, 1))
             passes.append(st.passes - before)
             assert np.array_equal(st.phi, spins) and st.beta == beta
         assert passes[0] >= d - 1 and max(passes) <= longest
@@ -431,6 +435,54 @@ class TestGibbsSweep:
         assert np.mean(corr) > 0.9
 
 
+class TestDrawChain:
+    @pytest.mark.parametrize("update_beta", [True, False])
+    def test_matches_per_sweep_generator_calls(self, update_beta):
+        # sweep 2 draws u = 0 at sites 5 and 40: its flag is set and the
+        # logs there are -inf
+        d, sweeps = 60, 7
+        gen = PlantedUniforms(np.random.default_rng(3), d, np.array([], int), [(2, 5), (2, 40)])
+        draws = draw_chain(gen, d, sweeps, update_beta)
+        ref = np.random.default_rng(3)
+        for t in range(sweeps):
+            u = ref.random(d)
+            if t == 2:
+                u[[5, 40]] = 0.0
+            with np.errstate(divide="ignore"):
+                assert np.array_equal(draws.log_u[t], np.log(u))
+            assert draws.zero[t] == (t == 2)
+            if update_beta:
+                assert draws.steps[t] == BETA_STEP * ref.standard_normal()
+                assert draws.log_a[t] == np.log(ref.random())
+        assert draws.log_u[2, 5] == draws.log_u[2, 40] == -np.inf
+        assert np.isfinite(np.delete(draws.log_u, [2 * d + 5, 2 * d + 40])).all()
+        assert (draws.steps is None) == (draws.log_a is None) == (not update_beta)
+        assert gen.rng.bit_generator.state == ref.bit_generator.state
+
+    def test_arrays_are_read_only(self):
+        draws = draw_chain(np.random.default_rng(0), 10, 4)
+        for a in (draws.log_u, draws.zero, draws.steps, draws.log_a):
+            with pytest.raises(ValueError):
+                a[0] = 0
+
+    def test_shared_draws_equal_fresh_generators(self):
+        # two chains of a run on one draws object, against two raster
+        # chains that each start a fresh generator on the seed
+        nb = build_neighbor_graph(build_regular_mesh(26, 17, 1.6, 1.0))
+        d = len(nb)
+        gen = np.random.default_rng(5)
+        draws = draw_chain(np.random.default_rng(777), d, 300)
+        for mu in (0.3 * gen.standard_normal(d), 5.0 * gen.standard_normal(d)):
+            st = new_state(nb, mu)
+            pm = estimate_phi_mean(st, mu, 300, 60, draws)
+            ref = raster_phi_mean(nb, mu, 300, 60, np.random.default_rng(777))
+            assert np.array_equal(pm, ref[0]) and np.array_equal(st.phi, ref[1])
+            assert st.beta == ref[2]
+            fresh = new_state(nb, mu)
+            estimate_phi_mean(fresh, mu, 300, 60, draw_chain(np.random.default_rng(777), d, 300))
+            assert np.array_equal(fresh.phi_mean, pm) and fresh.beta == st.beta
+
+
 class TestEstimatePhiMean:
     def test_strong_drive_pins_spins(self):
         mesh = build_regular_mesh(4, 2, 1.0, 1.0)
@@ -438,8 +490,8 @@ class TestEstimatePhiMean:
         m = MODE_LOCATION
         mu = np.full(mesh.n_elements, 10.0 * m)
         st = new_state(nb, mu, beta=0.0)
-        pm = estimate_phi_mean(st, mu, 500, 100, np.random.default_rng(0),
-                               update_beta=False)
+        pm = estimate_phi_mean(st, mu, 500, 100, draw_chain(np.random.default_rng(0),
+                                                            mesh.n_elements, 500, False))
         assert np.all(pm >= 0.99)
 
     def test_symmetric_drive_near_zero_mean(self):
@@ -447,8 +499,8 @@ class TestEstimatePhiMean:
         nb = build_neighbor_graph(mesh)
         mu = np.zeros(mesh.n_elements)
         st = new_state(nb, mu, beta=0.0)
-        pm = estimate_phi_mean(st, mu, 20_000, 100, np.random.default_rng(1),
-                               update_beta=False)
+        pm = estimate_phi_mean(st, mu, 20_000, 100, draw_chain(np.random.default_rng(1),
+                                                               mesh.n_elements, 20_000, False))
         assert np.max(np.abs(pm)) <= 0.05
 
     def test_no_systematic_spatial_gradient(self):
@@ -457,7 +509,8 @@ class TestEstimatePhiMean:
         nb = build_neighbor_graph(mesh)
         mu = np.zeros(mesh.n_elements)
         st = new_state(nb, mu)
-        pm = estimate_phi_mean(st, mu, 4000, 500, np.random.default_rng(2))
+        pm = estimate_phi_mean(st, mu, 4000, 500,
+                               draw_chain(np.random.default_rng(2), mesh.n_elements, 4000))
         left = pm[mesh.element_centroids[:, 0] < 0.5]
         right = pm[mesh.element_centroids[:, 0] >= 0.5]
         assert scipy.stats.ks_2samp(left, right).pvalue > 0.01
@@ -467,14 +520,22 @@ class TestEstimatePhiMean:
         st = new_state(build_neighbor_graph(mesh))
         with pytest.raises(ValueError):
             estimate_phi_mean(st, np.zeros(mesh.n_elements), 10, 10,
-                              np.random.default_rng(0))
+                              draw_chain(np.random.default_rng(0), mesh.n_elements, 10))
 
     def test_rejects_negative_burn_in(self):
         mesh = build_regular_mesh(2, 2, 1.0, 1.0)
         st = new_state(build_neighbor_graph(mesh))
         with pytest.raises(ValueError):
             estimate_phi_mean(st, np.zeros(mesh.n_elements), 10, -5,
-                              np.random.default_rng(0))
+                              draw_chain(np.random.default_rng(0), mesh.n_elements, 10))
+
+    @pytest.mark.parametrize("sweeps,d", [(11, 8), (10, 9)])
+    def test_rejects_draws_of_another_chain(self, sweeps, d):
+        mesh = build_regular_mesh(2, 2, 1.0, 1.0)
+        st = new_state(build_neighbor_graph(mesh))
+        with pytest.raises(ValueError):
+            estimate_phi_mean(st, np.zeros(mesh.n_elements), 10, 2,
+                              draw_chain(np.random.default_rng(0), d, sweeps))
 
     @pytest.mark.parametrize("beta", [7.0, -2.01, np.nan])
     def test_new_state_rejects_beta_outside_bounds(self, beta):
@@ -491,13 +552,14 @@ class TestEstimatePhiMean:
         mu = np.full(mesh.n_elements, 25.0 / MODE_LOCATION)
         st = replace(new_state(build_neighbor_graph(mesh), mu), beta=beta)
         with pytest.raises(ValueError):
-            estimate_phi_mean(st, mu, 50, 10, np.random.default_rng(0), update_beta=False)
+            estimate_phi_mean(st, mu, 50, 10,
+                              draw_chain(np.random.default_rng(0), mesh.n_elements, 50, False))
 
     def test_phi_mean_in_range(self, rng):
         mesh = build_regular_mesh(5, 3, 1.0, 1.0)
         st = new_state(build_neighbor_graph(mesh))
         mu = rng.standard_normal(mesh.n_elements)
-        pm = estimate_phi_mean(st, mu, 300, 50, rng)
+        pm = estimate_phi_mean(st, mu, 300, 50, draw_chain(rng, mesh.n_elements, 300))
         assert np.all(pm >= -1.0) and np.all(pm <= 1.0)
 
 
