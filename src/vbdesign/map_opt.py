@@ -57,7 +57,7 @@ MAX_HALVINGS = 30   # damping halvings before an iteration stalls
 @dataclass
 class MapOptions:
     tol: float = 1e-5
-    max_iter: int = 100
+    max_iter: int = 220
     c_z0: float = 100.0         # design-mean prior variance (see notes)
     gibbs_sweeps: int = 500
     gibbs_burn_in: int = 100

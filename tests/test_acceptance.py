@@ -2,38 +2,29 @@
 pinned tolerance, one printed PASS/FAIL line per criterion.
 
 The three reference pipelines (heat flux design; volume-constrained topology
-at VF 0.4 and 0.2) each run once in module-scoped fixtures and are shared by
-the criterion tests. Everything is seeded, so reruns are bitwise identical.
+at VF 0.4 and 0.2) run the CLI's stage functions once each in module-scoped
+fixtures shared by the criterion tests. Everything is seeded, so reruns are
+bitwise identical.
 """
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import pytest
 import scipy.linalg
 import scipy.optimize
 
-from vbdesign import map_opt, stiefel, topo_prior, validation
-from vbdesign.cli import parse_config, run
+from vbdesign import map_opt, stiefel, validation
+from vbdesign.cli import build_problem, estimate_points, fit_q, make_prior, parse_config, run
 from vbdesign.problems import (
     constraint_value_and_gradient,
     make_heat_problem,
     make_topo_problem,
 )
-from vbdesign.vb import (
-    ModelParams,
-    PriorConfig,
-    initial_W,
-    run_vbem,
-    sensitive_directions,
-    vb_expectation,
-)
+from vbdesign.vb import PriorConfig, initial_W, sensitive_directions, vb_expectation
 
 pytestmark = pytest.mark.acceptance
-
-TAU_Y0_INV = 1e4
-EPS2 = 1e-10
 
 
 def _criterion(name, checks):
@@ -52,66 +43,41 @@ class PipelineRun:
     vbem: dict = field(default_factory=dict)      # d_y -> VbemResult
     reports: dict = field(default_factory=dict)   # d_y -> ValidationReport
     wall_time: float = 0.0
-    constraint_grad: np.ndarray = None
 
 
-def _prior_for(model):
-    return PriorConfig(tau_y0=1.0 / TAU_Y0_INV, eps2=EPS2,
-                       field_prior=model.field_prior)
+def _pipeline(text, streams):
+    """The CLI's stages on the config `text`: one point estimate, then for
+    each d_y -> (basis seed, validation seed) in `streams` a fit of q and
+    its importance-sampling check."""
+    t0 = time.perf_counter()
+    cfg = parse_config(text)
+    model = build_problem(cfg)
+    prior = make_prior(cfg, model)
+    out = PipelineRun(model, prior, estimate_points(cfg, model, prior))
+    for d_y, (w_seed, val_seed) in streams.items():
+        vres = out.vbem[d_y] = fit_q(replace(cfg, vb_d_y=d_y), model, prior, out.map_result,
+                                     np.random.default_rng(np.random.SeedSequence(w_seed)))
+        out.reports[d_y] = validation.estimate_nKL(
+            model, vres.state, vres.params, prior, cfg.validate_M,
+            np.random.default_rng(np.random.SeedSequence(val_seed)))
+    out.wall_time = time.perf_counter() - t0
+    return out
 
 
 @pytest.fixture(scope="module")
 def heat_run():
-    t0 = time.perf_counter()
-    model = make_heat_problem()
-    prior = _prior_for(model)
-    mres = map_opt.optimize_map(model, prior, map_opt.MapOptions())
-    out = PipelineRun(model, prior, mres)
-    for d_y in (1, 2, 5, 10, 20):
-        rng_w = np.random.default_rng(np.random.SeedSequence(100 + d_y))
-        params0 = ModelParams(mres.mu_z, initial_W(model.d_z, d_y, rng_w),
-                              mres.mu_theta)
-        out.vbem[d_y] = run_vbem(mres.G_theta, mres.G_z, params0, prior,
-                                 model.tau_Q, mres.residual)
-        out.reports[d_y] = validation.estimate_nKL(
-            model, out.vbem[d_y].state, out.vbem[d_y].params, prior, 500,
-            np.random.default_rng(np.random.SeedSequence(200 + d_y)))
-    out.wall_time = time.perf_counter() - t0
-    return out
-
-
-def _topo_pipeline(VF):
-    t0 = time.perf_counter()
-    model = make_topo_problem(VF=VF)
-    prior = _prior_for(model)
-    mres = map_opt.optimize_map(model, prior, map_opt.MapOptions(max_iter=220))
-    out = PipelineRun(model, prior, mres)
-    _, f = constraint_value_and_gradient(model.constraint, mres.mu_z)
-    out.constraint_grad = f
-    lpm = topo_prior.log_prior_mu_z(mres.mu_z, mres.phi_mean,
-                                    topo_prior.MODE_LOCATION, 1.0)
-    d_y = 20
-    rng_w = np.random.default_rng(np.random.SeedSequence(300))
-    params0 = ModelParams(mres.mu_z, initial_W(model.d_z, d_y, rng_w),
-                          mres.mu_theta)
-    out.vbem[d_y] = run_vbem(mres.G_theta, mres.G_z, params0, prior,
-                             model.tau_Q, mres.residual, f=f,
-                             eps_c2=model.constraint.eps_c2, log_p_mu_z=lpm)
-    out.reports[d_y] = validation.estimate_nKL(
-        model, out.vbem[d_y].state, out.vbem[d_y].params, prior, 500,
-        np.random.default_rng(np.random.SeedSequence(400)))
-    out.wall_time = time.perf_counter() - t0
-    return out
+    return _pipeline("problem = heat_flux",
+                     {d_y: (100 + d_y, 200 + d_y) for d_y in (1, 2, 5, 10, 20)})
 
 
 @pytest.fixture(scope="module")
 def topo04_run():
-    return _topo_pipeline(0.4)
+    return _pipeline("problem = topo\nconstraint.VF = 0.4\nvb.d_y = 20", {20: (300, 400)})
 
 
 @pytest.fixture(scope="module")
 def topo02_run():
-    return _topo_pipeline(0.2)
+    return _pipeline("problem = topo\nconstraint.VF = 0.2\nvb.d_y = 20", {20: (300, 400)})
 
 
 # ---------------------------------------------------------------------------
@@ -159,7 +125,7 @@ def test_criterion_2_stiff_direction_separation(heat_run):
     vres = heat_run.vbem[10]
     spec = sensitive_directions(vres.state, vres.params)
     s2 = spec.sigma2
-    plateau = 1.0 / (1.0 / TAU_Y0_INV)
+    plateau = 1.0 / heat_run.prior.tau_y0
     stiff = int(np.sum(s2 < 0.9 * plateau))
     ratio = s2[2] / s2[0]
     rest_ok = bool(np.all(np.abs(s2[3:] - plateau) <= 0.1 * plateau))
@@ -219,11 +185,12 @@ def test_criterion_3_nkl_decay(heat_run, topo04_run):
 
 def test_criterion_4_constraint_behavior(topo04_run, topo02_run):
     checks = []
+    grads = {}
     for name, pr in (("VF=0.4", topo04_run), ("VF=0.2", topo02_run)):
-        c, _ = constraint_value_and_gradient(pr.model.constraint, pr.map_result.mu_z)
+        c, f = constraint_value_and_gradient(pr.model.constraint, pr.map_result.mu_z)
+        grads[name] = f
         checks.append((f"{name}_|c|<=1e-6", abs(c) <= 1e-6, f"|c|={abs(c):.2e}"))
         spec = sensitive_directions(pr.vbem[20].state, pr.vbem[20].params)
-        f = pr.constraint_grad
         align = abs(float(spec.W_hat[:, 0] @ (f / np.linalg.norm(f))))
         checks.append((f"{name}_align>=0.99", align >= 0.99, f"cos={align:.6f}"))
     # sigma_1^2 scaling with the soft-enforcement variance, basis held fixed
@@ -232,7 +199,7 @@ def test_criterion_4_constraint_behavior(topo04_run, topo02_run):
     base = sensitive_directions(pr.vbem[d_y].state, pr.vbem[d_y].params).sigma2[0]
     st2 = vb_expectation(
         pr.map_result.G_theta, pr.map_result.G_z, pr.vbem[d_y].params, pr.prior,
-        pr.model.tau_Q, f=pr.constraint_grad, eps_c2=2.0 * pr.model.constraint.eps_c2)
+        pr.model.tau_Q, f=grads["VF=0.4"], eps_c2=2.0 * pr.model.constraint.eps_c2)
     doubled = sensitive_directions(st2, pr.vbem[d_y].params).sigma2[0]
     ratio = doubled / base
     checks.append(("sigma1_scaling_in[1.5,2.5]", 1.5 <= ratio <= 2.5,

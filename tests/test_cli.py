@@ -12,6 +12,7 @@ import pytest
 from vbdesign import cli, problems, topo_prior, vb
 from vbdesign.cli import (ConfigError, RunConfig, build_problem, canonical_text, parse_config,
                           run)
+from vbdesign.map_opt import MapOptions
 
 from conftest import prior_covariance, raster_phi_mean, theta_block
 
@@ -111,6 +112,7 @@ class TestParseConfig:
         assert cfg.vb_eps2 == 1e-10
         assert (vb.W_STEPS, vb.MAX_ITERS, vb.FTOL) == (100, 200, 1e-8)
         assert cfg.map_tol == 1e-5
+        assert cfg.map_max_iter == MapOptions().max_iter == 220
         assert cfg.field_sigma_g2 == 0.223
         assert cfg.field_x0 == 0.1
         assert cfg.field_mu_theta0 == -0.112
@@ -208,6 +210,24 @@ class TestBuildProblem:
         square = model.d_theta ** 2 * 8
         assert model.d_theta == 1500
         assert current < 1.5 * square and peak < 1.5 * square
+
+
+class TestStages:
+    def test_fit_q_reads_the_spin_prior_settings(self):
+        # configs that differ only in topo_prior.m fit the same q at the same
+        # point estimates; each bound moves by the spin prior's log density
+        cfgs = parse_config(SMALL_TOPO), parse_config(SMALL_TOPO + "topo_prior.m = 5.5")
+        model = build_problem(cfgs[0])
+        prior = cli.make_prior(cfgs[0], model)
+        mres = cli.estimate_points(cfgs[0], model, prior)
+        fit0, fit1 = (cli.fit_q(cfg, model, prior, mres, np.random.default_rng(2)) for cfg in cfgs)
+        assert np.array_equal(fit0.params.W, fit1.params.W)
+        assert np.array_equal(fit0.state.C_yy, fit1.state.C_yy)
+        lp0, lp1 = (topo_prior.log_prior_mu_z(mres.mu_z, mres.phi_mean, cfg.topo_prior_m,
+                                              cfg.topo_prior_s2) for cfg in cfgs)
+        F0, F1 = np.array(fit0.F_history), np.array(fit1.F_history)
+        assert F0.shape == F1.shape and lp1 != lp0
+        assert np.all(np.abs(F1 - F0 - (lp1 - lp0)) <= 1e-12 * abs(lp1 - lp0))
 
 
 @pytest.fixture(scope="module")
