@@ -311,7 +311,9 @@ def run(cfg: RunConfig, stage: str = "all", outdir=None) -> RunArtifacts:
 
 def _save_state(path, vres):
     """q and the point estimates; the theta block stays in low-rank form,
-    C_thth = C_theta0 - B_th S^-1 B_th^T with S = S_chol S_chol^T."""
+    C_thth = C_theta0 - B_th S^-1 B_th^T with S = S_chol S_chol^T. The
+    state holds the whitened Jacobian, not B_th or C_thy: both are formed
+    from its factors here, on their first read."""
     st = vres.state
     lr = st.lowrank
     np.savez(path, C_yy=st.C_yy, C_thy=st.C_thy, tau_z=st.tau_z,

@@ -52,8 +52,13 @@ class FieldPrior:
         return 2.0 * np.sum(np.log(np.diag(self.chol)))
 
     def quad(self, v: np.ndarray) -> float:
-        """v^T C_theta0^{-1} v."""
-        half = sla.solve_triangular(self.chol, v, lower=True)
+        """v^T C_theta0^{-1} v. Only v is checked for non-finite values:
+        `build_covariance` returns a finite factor, and scanning its d^2
+        entries costs several times the solve."""
+        v = np.asarray(v, dtype=float)
+        if not np.all(np.isfinite(v)):
+            raise ValueError("array must not contain infs or NaNs")
+        half = sla.solve_triangular(self.chol, v, lower=True, check_finite=False)
         return float(half @ half)
 
 

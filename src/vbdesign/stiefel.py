@@ -28,7 +28,11 @@ class CayleyStepError(RuntimeError):
 
 @dataclass
 class StiefelProblem:
-    """Data defining F_W; the Gram of G_z is only ever applied to W."""
+    """Data defining F_W; the Gram of G_z is only ever applied to W.
+
+    `cross` is G_z^T (G_theta C_thy), formed from q's n x d_y block
+    G_theta C_thy (`vb.VariationalState.GC_thy`), so building it costs no
+    d_theta-sized work."""
 
     G_z: np.ndarray          # (n, d_z)
     cross: np.ndarray        # (d_z, d_y) = G_z^T G_theta C_thy

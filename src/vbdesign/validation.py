@@ -53,23 +53,24 @@ def _draw_q(state: VariationalState, params: ModelParams, count, rng):
     the whitened draws L^-1 eta_theta^T for the field prior's factor L;
     eta_z lives in the complement of W.
 
-    eta_theta^T = L xi - B_th corr^T with B_th = L L^T G_theta^T, so the
-    whitened draws are xi - (L^T G_theta^T) corr^T: no d_theta^2 solve."""
+    eta_theta^T = L xi - B_th corr^T with B_th = L X and X = L^T G_theta^T
+    the state's whitened Jacobian, so the whitened draws are
+    white = xi - X corr^T and eta_theta^T = L white: the draws read L once,
+    and no d_theta^2 solve runs."""
     lr = state.lowrank
     n = lr.A.shape[0]
-    # products with L and L^T on the factor's Fortran-order view U = L^T
-    U = lr.prior.chol.T
     xi = rng.standard_normal((state.d_theta, count))
-    xt = dtrmm(1.0, U, xi, trans_a=1).T
     xy = sla.solve_triangular(lr.Py_cho[0].T, rng.standard_normal((state.d_y, count)),
                               lower=False).T
     e = rng.standard_normal((count, n)) / np.sqrt(lr.tau_Q)
-    resid = xt @ lr.G_theta.T + xy @ lr.A.T + e
+    resid = xi.T @ lr.X + xy @ lr.A.T + e
     corr = sla.cho_solve(lr.S_cho, resid.T).T
     xi_z = rng.standard_normal((count, params.d_z))
     eta_z = (xi_z - (xi_z @ params.W) @ params.W.T) / np.sqrt(state.tau_z)
-    xi -= dtrmm(1.0, U, lr.G_theta.T) @ corr.T  # now the whitened draws
-    return xt - corr @ lr.B_th.T, xy - corr @ lr.B_y.T, eta_z, xi
+    xi -= lr.X @ corr.T  # now the whitened draws
+    # L white on the factor's Fortran-order view U = L^T
+    eta_theta = dtrmm(1.0, lr.prior.chol.T, xi, trans_a=1).T
+    return eta_theta, xy - corr @ lr.B_y.T, eta_z, xi
 
 
 def _log_q_joint(state: VariationalState, eta_theta, y, white):

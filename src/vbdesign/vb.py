@@ -21,6 +21,7 @@ whose range has dimension at most n + 1.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg as sla
@@ -88,18 +89,27 @@ class LowRankFactors:
     """Woodbury pieces of the (eta_theta, y) covariance.
 
     Cov = blockdiag(C0, Py^{-1}) - B S^{-1} B^T with B = [B_th; B_y],
-    S = I/tau_Q + G_theta C0 G_theta^T + A Py^{-1} A^T, A = G_z W, and
-    C0 = L L^T the field prior held as its factor L.
+    S = I/tau_Q + M + A Py^{-1} A^T, A = G_z W, and C0 = L L^T the field
+    prior held as its factor L. The theta rows are held by the whitened
+    Jacobian X = L^T G_theta^T and its Gram M = X^T X = G_theta C0 G_theta^T,
+    so B_th = C0 G_theta^T = L X is formed only when it is read.
     """
 
     prior: FieldPrior
     G_theta: np.ndarray
     A: np.ndarray
     Py_cho: tuple
-    B_th: np.ndarray
+    X: np.ndarray
+    M: np.ndarray
     B_y: np.ndarray
     S_cho: tuple
     tau_Q: float
+
+    @cached_property
+    def B_th(self):
+        """C0 G_theta^T = L X, one product on the factor's Fortran-order
+        view U = L^T, formed on first read."""
+        return dtrmm(1.0, self.prior.chol.T, self.X, trans_a=1)
 
     def logdet(self):
         """Log-determinant of the (eta_theta, y) covariance above."""
@@ -114,18 +124,27 @@ class VariationalState:
     """Covariance blocks of q; the theta block is held by its factors,
     C_thth = C_theta0 - B_th S^{-1} B_th^T (`LowRankFactors`).
 
+    The cross block enters the bound and the basis objective only through
+    GC_thy = G_theta C_thy = -M S^{-1} B_y^T (n x d_y); the d_theta x d_y
+    C_thy = -B_th S^{-1} B_y^T is formed on first read.
+
     `vb_expectation`, the package's only constructor, stores C_yy as
     0.5 (C + C^T), which is exactly symmetric since float addition
     commutes; readers use it as it is."""
 
     C_yy: np.ndarray
-    C_thy: np.ndarray
+    GC_thy: np.ndarray
     tau_z: float
     lowrank: LowRankFactors = field(repr=False)
 
+    @cached_property
+    def C_thy(self):
+        lr = self.lowrank
+        return -lr.B_th @ sla.cho_solve(lr.S_cho, lr.B_y.T)
+
     @property
     def d_theta(self):
-        return self.C_thy.shape[0]
+        return self.lowrank.X.shape[0]
 
     @property
     def d_y(self):
@@ -189,13 +208,10 @@ def vb_expectation(G_theta, G_z, params: ModelParams, prior: PriorConfig,
     tau_z = _tau_z_update(prior, G_z, A, W, tau_Q, f, eps_c2)
     fp = prior.field_prior
     n = G_theta.shape[0]
-    # B_th = C0 G_theta^T = L (L^T G_theta^T) by two triangular products on
-    # U = L^T, the factor's Fortran-order view; the first copies G_theta^T,
-    # the second overwrites that copy
-    U = fp.chol.T
-    B_th = dtrmm(1.0, U, G_theta.T)
-    B_th = dtrmm(1.0, U, B_th, trans_a=1, overwrite_b=1)
-    M = G_theta @ B_th
+    # X = L^T G_theta^T by one triangular product on the factor's
+    # Fortran-order view U = L^T; its Gram is G_theta C0 G_theta^T
+    X = dtrmm(1.0, fp.chol.T, G_theta.T)
+    M = X.T @ X
     try:
         Py_cho = sla.cho_factor(Py, lower=True)
         B_y = sla.cho_solve(Py_cho, A.T)
@@ -205,11 +221,11 @@ def vb_expectation(G_theta, G_z, params: ModelParams, prior: PriorConfig,
     except np.linalg.LinAlgError as exc:
         raise IndefinitePrecisionError("joint precision not positive definite") from exc
     Py_inv = sla.cho_solve(Py_cho, np.eye(Py.shape[0]))
-    C_yy = Py_inv - B_y @ sla.cho_solve(S_cho, B_y.T)
+    SinvBy = sla.cho_solve(S_cho, B_y.T)
+    C_yy = Py_inv - B_y @ SinvBy
     C_yy = 0.5 * (C_yy + C_yy.T)
-    C_thy = -B_th @ sla.cho_solve(S_cho, B_y.T)
-    lr = LowRankFactors(fp, G_theta, A, Py_cho, B_th, B_y, S_cho, tau_Q)
-    return VariationalState(C_yy=C_yy, C_thy=C_thy, tau_z=tau_z, lowrank=lr)
+    lr = LowRankFactors(fp, G_theta, A, Py_cho, X, M, B_y, S_cho, tau_Q)
+    return VariationalState(C_yy=C_yy, GC_thy=-M @ SinvBy, tau_z=tau_z, lowrank=lr)
 
 
 def evaluate_F(state: VariationalState, params: ModelParams, prior: PriorConfig,
@@ -219,7 +235,8 @@ def evaluate_F(state: VariationalState, params: ModelParams, prior: PriorConfig,
 
     With every Gaussian normalizer kept, this equals E_q[log(U_lin p/q)] for
     the linearized outputs, which the Monte Carlo oracle and the importance
-    sampling validator both exploit.
+    sampling validator both exploit. The q terms read the state's M and
+    GC_thy, so G_theta must be the Jacobian q was fitted on.
     """
     W = params.W
     d_z, d_y = W.shape
@@ -228,13 +245,13 @@ def evaluate_F(state: VariationalState, params: ModelParams, prior: PriorConfig,
     r = np.asarray(residual, dtype=float)
     A = G_z @ W
 
-    M = G_theta @ state.lowrank.B_th
+    M = state.lowrank.M
     SinvM = sla.cho_solve(state.lowrank.S_cho, M)
     tr_GG_thth = float(np.trace(M)) - float(np.sum(M * SinvM))
     tr_C0inv_thth = d_theta - float(np.trace(SinvM))
 
     tr_yy = float(np.sum((A.T @ A) * state.C_yy))
-    tr_cross = 2.0 * float(np.sum((G_theta.T @ A) * state.C_thy))
+    tr_cross = 2.0 * float(np.sum(A * state.GC_thy))
     gram_perp, perp_f = _complement_sums(G_z, A, W, f) if k > 0 else (0.0, 0.0)
 
     dev = params.mu_theta - prior.mu_theta0
@@ -348,7 +365,7 @@ def run_vbem(G_theta, G_z, params: ModelParams, prior: PriorConfig, tau_Q: float
     for _ in range(MAX_ITERS):
         F_q = evaluate_F(state, params, prior, tau_Q, residual, G_theta, G_z, **fkw)
         problem = stiefel.StiefelProblem(
-            G_z=G_z, cross=G_z.T @ (G_theta @ state.C_thy), C_yy=state.C_yy,
+            G_z=G_z, cross=G_z.T @ state.GC_thy, C_yy=state.C_yy,
             tau_z=state.tau_z, tau_Q=tau_Q, f=f, eps_c2=eps_c2)
         res = stiefel.optimize_W(problem, params.W, W_STEPS)
         if res.steps == 0:

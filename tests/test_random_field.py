@@ -63,6 +63,29 @@ class TestBuildCovariance:
         x = np.linalg.solve(prior_covariance(prior), v)
         assert prior.quad(v) == pytest.approx(float(v @ x), rel=1e-10)
 
+    def test_quad_matches_dense_kernel(self, rng):
+        # v^T C^-1 v against the kernel formed densely on the 5x4 lattice
+        prior = small_prior()
+        pts = build_regular_mesh(5, 4, 1.0, 0.8).element_centroids
+        C = SG2 * np.exp(-cdist(pts, pts) / X0)
+        for v in (rng.standard_normal(prior.d), np.ones(prior.d)):
+            assert prior.quad(v) == pytest.approx(float(v @ np.linalg.solve(C, v)),
+                                                  rel=1e-12)
+
+    def test_quad_checks_only_v(self, rng):
+        # the factor's upper triangle is never read, so it is not scanned;
+        # a non-finite v is still refused
+        prior = small_prior()
+        v = rng.standard_normal(prior.d)
+        chol = prior.chol.copy()
+        chol[0, -1] = np.nan
+        poisoned = random_field.FieldPrior(MU0, SG2, X0, chol)
+        assert poisoned.quad(v) == prior.quad(v)
+        for bad in (np.nan, np.inf):
+            v[3] = bad
+            with pytest.raises(ValueError):
+                prior.quad(v)
+
     def test_nugget_retry_rebuilds_the_kernel(self):
         # a repeated centroid makes the kernel exactly singular; the failed
         # in-place factorization has overwritten it, so the retry must

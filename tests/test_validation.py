@@ -3,11 +3,13 @@
 import numpy as np
 import pytest
 import scipy.linalg as sla
+from scipy.linalg.blas import dtrmm
 from scipy.stats import multivariate_normal
 
 from conftest import (LinearModel, joint_cov, make_field_prior, prior_covariance,
                       toy_vb_instance)
-from vbdesign.problems import log_utility
+from vbdesign import cli, validation, vb
+from vbdesign.problems import constraint_value_and_gradient, log_utility
 from vbdesign.validation import _draw_q, _log_q_joint, estimate_nKL
 from vbdesign.vb import ModelParams, PriorConfig, initial_W, run_vbem, vb_expectation
 
@@ -52,6 +54,57 @@ class TestSampleQ:
         eta_theta, _, _, white = _draw_q(st, params, 50, rng)
         expect = sla.solve_triangular(prior.field_prior.chol, eta_theta.T, lower=True)
         assert np.max(np.abs(white - expect)) <= 1e-12 * np.max(np.abs(expect))
+
+    def test_draws_read_the_prior_factor_once(self, rng, monkeypatch):
+        # one L product for the whole draw set, and no B_th formed
+        model, params, prior = linear_bundle(rng)
+        st = vb_expectation(model.G_theta, model.G_z, params, prior, model.tau_Q)
+        calls = []
+
+        def counted(name):
+            def counting(*args, **kwargs):
+                calls.append(name)
+                return dtrmm(*args, **kwargs)
+            return counting
+
+        monkeypatch.setattr(vb, "dtrmm", counted("vb"))
+        monkeypatch.setattr(validation, "dtrmm", counted("validation"))
+        _draw_q(st, params, 40, rng)
+        assert calls == ["validation"]
+        assert "B_th" not in vars(st.lowrank) and "C_thy" not in vars(st)
+
+    def test_generator_stream_and_draws_on_a_topology_q(self):
+        # a 26x17 topology q at the prior mean and the uniform design: the
+        # draws consume the stream as four normal blocks in a fixed order,
+        # and eta_theta is L white, the old L xi - B_th corr^T
+        cfg = cli.parse_config("problem = topo\nmesh.nx = 26\nmesh.ny = 17\n")
+        model = cli.build_problem(cfg)
+        prior = cli.make_prior(cfg, model)
+        vf = model.constraint.target_VF
+        mu_z = np.full(model.d_z, np.log(vf / (1.0 - vf)))
+        _, G_theta, G_z = model.evaluate_with_jacobians(model.field_prior.mean, mu_z)
+        _, f = constraint_value_and_gradient(model.constraint, mu_z)
+        params = ModelParams(mu_z=mu_z, W=initial_W(model.d_z, 4, np.random.default_rng(3)),
+                             mu_theta=model.field_prior.mean)
+        st = vb_expectation(G_theta, G_z, params, prior, model.tau_Q, f=f,
+                            eps_c2=model.constraint.eps_c2)
+        count, lr, L = 30, st.lowrank, model.field_prior.chol
+        rng, twin = np.random.default_rng(11), np.random.default_rng(11)
+        eta_theta, y, eta_z, white = _draw_q(st, params, count, rng)
+
+        xi = twin.standard_normal((st.d_theta, count))
+        xy = sla.solve_triangular(lr.Py_cho[0].T, twin.standard_normal((st.d_y, count)),
+                                  lower=False).T
+        e = twin.standard_normal((count, G_theta.shape[0])) / np.sqrt(model.tau_Q)
+        twin.standard_normal((count, model.d_z))
+        assert rng.bit_generator.state == twin.bit_generator.state
+
+        Lxi = (L @ xi).T
+        corr = sla.cho_solve(lr.S_cho, (Lxi @ G_theta.T + xy @ lr.A.T + e).T).T
+        scale = np.max(np.abs(eta_theta))
+        assert np.max(np.abs(eta_theta - (L @ white).T)) <= 1e-12 * scale
+        assert np.max(np.abs(eta_theta - (Lxi - corr @ lr.B_th.T))) <= 1e-12 * scale
+        assert np.max(np.abs(y - (xy - corr @ lr.B_y.T))) <= 1e-12 * np.max(np.abs(y))
 
     def test_complement_variance(self, rng):
         model, params, prior = linear_bundle(rng)

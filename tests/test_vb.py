@@ -10,6 +10,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 import scipy.optimize
+from scipy.linalg.blas import dtrmm
 
 from conftest import (dense_bound, dense_expectation, joint_cov, make_field_prior,
                       prior_covariance, theta_block, toy_vb_instance)
@@ -245,6 +246,50 @@ class TestEvaluateF:
         bad = replace(st, tau_z=np.inf)
         with pytest.raises(FloatingPointError):
             evaluate_F(bad, params, prior, tau_Q, residual, G_theta, G_z)
+
+
+class TestFactorProducts:
+    """q reads the prior factor L once per update, and forms B_th = C0 G_theta^T
+    and C_thy only when they are read."""
+
+    def test_one_factor_product_per_update(self, rng, monkeypatch):
+        G_theta, G_z, params, prior, tau_Q, residual = toy_vb_instance(rng, d_theta=9)
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return dtrmm(*args, **kwargs)
+
+        monkeypatch.setattr(vb, "dtrmm", counting)
+        st = vb_expectation(G_theta, G_z, params, prior, tau_Q)
+        evaluate_F(st, params, prior, tau_Q, residual, G_theta, G_z)
+        assert len(calls) == 1
+        assert "B_th" not in vars(st.lowrank) and "C_thy" not in vars(st)
+        st.C_thy
+        assert len(calls) == 2 and st.lowrank.B_th is st.lowrank.B_th
+        st.C_thy
+        assert len(calls) == 2
+
+    def test_on_demand_blocks_match_dense(self, rng):
+        G_theta, G_z, params, prior, tau_Q, _ = toy_vb_instance(rng, d_theta=9, n=4)
+        f = rng.standard_normal(params.d_z)
+        st = vb_expectation(G_theta, G_z, params, prior, tau_Q, f=f, eps_c2=1e-2)
+        C0 = prior_covariance(prior.field_prior)
+        A = G_z @ params.W
+        fW = params.W.T @ f
+        Py = prior.tau_y0 * np.eye(params.d_y) + np.outer(fW, fW) / 1e-2
+        B_th = C0 @ G_theta.T
+        B_y = np.linalg.solve(Py, A.T)
+        S = np.eye(4) / tau_Q + G_theta @ B_th + A @ B_y
+        C_thy = -B_th @ np.linalg.solve(S, B_y.T)
+
+        def rel(x, ref):
+            return np.max(np.abs(x - ref)) / np.max(np.abs(ref))
+
+        assert rel(st.lowrank.B_th, B_th) <= 1e-12
+        assert rel(st.lowrank.M, G_theta @ B_th) <= 1e-12
+        assert rel(st.C_thy, C_thy) <= 1e-12
+        assert rel(st.GC_thy, G_theta @ C_thy) <= 1e-12
 
 
 class TestSensitiveDirections:
