@@ -28,7 +28,7 @@ import numpy as np
 
 from . import map_opt, problems, topo_prior, validation, vb
 from .map_opt import MapOptions
-from .mesh_fem import export_element_field, export_mesh
+from .mesh_fem import export_mesh
 from .problems import constraint_value_and_gradient, make_heat_problem, make_topo_problem
 
 
@@ -246,10 +246,10 @@ def run(cfg: RunConfig, stage: str = "all", outdir=None) -> RunArtifacts:
                [(r["iter"], r["F_mu"], r["forward_calls"], r["step_norm_theta"],
                  r["step_norm_z"], r["constraint_c"]) for r in mres.trace])
     _write_csv(out / "mu_z.csv", "j,value", "%d,%.17g\n", enumerate(mres.mu_z.tolist()))
-    _write_csv(out / "mu_theta.csv", "element_id,value", "%d,%.17g\n",
-               enumerate(mres.mu_theta.tolist()))
-    if mres.phi_mean is not None:
-        export_element_field(mres.phi_mean, out / "phi_mean.csv")
+    for name, values in (("mu_theta", mres.mu_theta), ("phi_mean", mres.phi_mean)):
+        if values is not None:
+            _write_csv(out / f"{name}.csv", "element_id,value", "%d,%.17g\n",
+                       enumerate(values.tolist()))
     laps.append(("map", time.perf_counter()))
 
     vres = spectrum = report = None

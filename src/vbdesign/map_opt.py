@@ -46,7 +46,7 @@ import numpy as np
 import scipy.linalg as sla
 
 from . import topo_prior
-from .problems import constraint_value_and_gradient
+from .problems import constraint_value_and_gradient, log_utility
 from .vb import PriorConfig
 
 TAIL_TOL = 1e-8     # step tolerance of the frozen, feasible tail (at most tol)
@@ -179,8 +179,7 @@ def optimize_map(model, prior: PriorConfig, options: MapOptions = None,
         return phi_mean
 
     def f_mu(u, v_w, mz, phi_mean):
-        r = model.u_target - u
-        val = -0.5 * model.tau_Q * float(r @ r) - 0.5 * float(v_w @ v_w)
+        val = log_utility(model, u) - 0.5 * float(v_w @ v_w)
         if constrained:
             val += topo_prior.log_prior_mu_z(mz, phi_mean, opts.prior_m, opts.prior_s2)
         else:

@@ -121,10 +121,6 @@ def element_geometry(mesh: Mesh):
     return bvec, cvec, area
 
 
-def signed_areas(mesh: Mesh) -> np.ndarray:
-    return element_geometry(mesh)[2]
-
-
 def boundary_nodes(mesh: Mesh, tag: str) -> np.ndarray:
     """Sorted unique node ids on the named boundary segment."""
     ids = set()
@@ -481,9 +477,3 @@ def export_mesh(mesh: Mesh, path):
             fh.write(f"{e} {n1} {n2} {n3}\n")
         for tag, n1, n2 in mesh.boundary_edges:
             fh.write(f"{tag} {n1} {n2}\n")
-
-
-def export_element_field(values, path):
-    with open(path, "w") as fh:
-        fh.write("element_id,value\n")
-        fh.writelines("%d,%.17g\n" % row for row in enumerate(np.asarray(values).tolist()))

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
-from scipy.linalg.blas import dtrsm
+from scipy.linalg.blas import dtrmm, dtrsm
 from scipy.linalg.lapack import dpotrf
 from scipy.spatial.distance import cdist
 
@@ -32,7 +32,8 @@ class FieldPrior:
     """The latent field's covariance C_theta0, held as its Cholesky factor.
 
     C_theta0 = chol chol^T is never kept: the factor is the prior's only
-    d x d array.
+    d x d array. `mul` and `whiten` are its triangular product and solve;
+    both read the C-order buffer through its Fortran-order view, no copy.
     """
 
     mu_theta0: float
@@ -51,14 +52,23 @@ class FieldPrior:
     def logdet(self) -> float:
         return 2.0 * np.sum(np.log(np.diag(self.chol)))
 
+    def mul(self, B: np.ndarray, trans: bool = False) -> np.ndarray:
+        """L B, or L^T B when trans, for a vector or the columns of B: one
+        triangular product on U = L^T."""
+        return dtrmm(1.0, self.chol.T, B, trans_a=int(not trans))
+
+    def whiten(self, v: np.ndarray) -> np.ndarray:
+        """L^-1 v, for a vector or the columns of v. The factor is not
+        scanned for non-finite values: `build_covariance` returns a finite
+        one, and scanning its d^2 entries costs several times the solve."""
+        return sla.solve_triangular(self.chol, v, lower=True, check_finite=False)
+
     def quad(self, v: np.ndarray) -> float:
-        """v^T C_theta0^{-1} v. Only v is checked for non-finite values:
-        `build_covariance` returns a finite factor, and scanning its d^2
-        entries costs several times the solve."""
+        """v^T C_theta0^{-1} v; v is checked for non-finite values."""
         v = np.asarray(v, dtype=float)
         if not np.all(np.isfinite(v)):
             raise ValueError("array must not contain infs or NaNs")
-        half = sla.solve_triangular(self.chol, v, lower=True, check_finite=False)
+        half = self.whiten(v)
         return float(half @ half)
 
 
@@ -210,4 +220,4 @@ def sample_log_field(prior: FieldPrior, seed) -> np.ndarray:
     """One realization mu + L xi; identical seed gives an identical vector."""
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     xi = rng.standard_normal(prior.d)
-    return prior.mean + prior.chol @ xi
+    return prior.mean + prior.mul(xi)

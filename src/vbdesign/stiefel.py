@@ -58,7 +58,7 @@ def _drift(W):
     return float(np.abs(W.T @ W - _eye(W.shape[1])).max())
 
 
-def _require_feasible(W, tol=1e-8):
+def require_feasible(W, tol=1e-8):
     drift = _drift(W)
     if drift > tol:
         raise ValueError(f"W violates orthonormality by {drift:.3e}")
@@ -66,7 +66,7 @@ def _require_feasible(W, tol=1e-8):
 
 def objective_FW(problem: StiefelProblem, W: np.ndarray, Cm=None) -> float:
     """F_W at W; a line search passes Cm = problem.shifted_C() to form it once."""
-    _require_feasible(W)
+    require_feasible(W)
     Cm = problem.shifted_C() if Cm is None else Cm
     A = problem.G_z @ W
     val = -0.5 * problem.tau_Q * float(((A.T @ A) * Cm).sum())
@@ -128,10 +128,10 @@ class StiefelResult:
     grad_norm: float     # tangent-gradient norm at W
     stalled: bool        # grad_norm above the GRAD_TOL bar: no step was
                          # accepted, or max_steps ran out, before stationarity
-    reorthonormalized: int
 
 
-def _qr_fix(W):
+def qr_fix(W):
+    """Q of W = QR with the signs that make R's diagonal positive."""
     Q, R = np.linalg.qr(W)
     return Q * np.sign(np.diag(R))
 
@@ -139,13 +139,12 @@ def _qr_fix(W):
 def optimize_W(problem: StiefelProblem, W0: np.ndarray,
                max_steps: int = 100) -> StiefelResult:
     """Ascend F_W from W0; the returned objective never falls below F_W(W0)."""
-    _require_feasible(W0, tol=1e-8)
+    require_feasible(W0)
     W = W0.copy()
     Cm = problem.shifted_C()
     F = objective_FW(problem, W, Cm)
     best_W, best_F = W.copy(), F
     g_window = [-F]
-    refixes = 0
     a = None
     prev = None  # (W, G_descent)
     steps = 0
@@ -206,9 +205,8 @@ def optimize_W(problem: StiefelProblem, W0: np.ndarray,
         W, F = W_new, F_new
         steps += 1
         if _drift(W) > 1e-10:
-            W = _qr_fix(W)
+            W = qr_fix(W)
             F = objective_FW(problem, W, Cm)
-            refixes += 1
         g_window.append(-F)
         if len(g_window) > WINDOW:
             g_window.pop(0)
@@ -217,4 +215,4 @@ def optimize_W(problem: StiefelProblem, W0: np.ndarray,
 
     grad_norm = float(np.linalg.norm(tangent_project(best_W, gradient_J(problem, best_W))))
     stalled = grad_norm > GRAD_TOL * (1.0 + abs(best_F))
-    return StiefelResult(best_W, best_F, steps, grad_norm, stalled, refixes)
+    return StiefelResult(best_W, best_F, steps, grad_norm, stalled)

@@ -2,7 +2,8 @@
 
 Draws from q, runs the exact forward model once per sample, and estimates
 KL(q || p_aux(. | R)) = log<w> - <log w> from the unnormalized weights
-w = U p_theta p_y p_eta_z / q. The divergence is reported normalized by
+w = U p_theta p_y p_eta_z / q, whose logs `log_weight_terms` returns term
+by term, one array per term. The divergence is reported normalized by
 the closed-form Gaussian functional H_q = -1/2 log|2 pi Sigma_q| of q so
 values are comparable across reduced dimensions d_y. H_q is d/2 minus the
 entropy of q, not the entropy itself, and is negative when q is broad.
@@ -14,7 +15,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg as sla
-from scipy.linalg.blas import dtrmm
 from scipy.special import logsumexp
 
 from .problems import constraint_value_and_gradient, log_utility
@@ -50,13 +50,13 @@ class ValidationReport:
 
 def _draw_q(state: VariationalState, params: ModelParams, count, rng):
     """count draws (eta_theta, y, eta_z) from q, in that stream order, and
-    the whitened draws L^-1 eta_theta^T for the field prior's factor L;
-    eta_z lives in the complement of W.
+    the whitened draws white = L^-1 eta_theta^T for the field prior's
+    factor L; eta_z lives in the complement of W.
 
     eta_theta^T = L xi - B_th corr^T with B_th = L X and X = L^T G_theta^T
-    the state's whitened Jacobian, so the whitened draws are
-    white = xi - X corr^T and eta_theta^T = L white: the draws read L once,
-    and no d_theta^2 solve runs."""
+    the state's whitened Jacobian, so white = xi - X corr^T and
+    eta_theta^T = L white: the draws read L once (`FieldPrior.mul`), and no
+    d_theta^2 solve runs."""
     lr = state.lowrank
     n = lr.A.shape[0]
     xi = rng.standard_normal((state.d_theta, count))
@@ -68,65 +68,61 @@ def _draw_q(state: VariationalState, params: ModelParams, count, rng):
     xi_z = rng.standard_normal((count, params.d_z))
     eta_z = (xi_z - (xi_z @ params.W) @ params.W.T) / np.sqrt(state.tau_z)
     xi -= lr.X @ corr.T  # now the whitened draws
-    # L white on the factor's Fortran-order view U = L^T
-    eta_theta = dtrmm(1.0, lr.prior.chol.T, xi, trans_a=1).T
-    return eta_theta, xy - corr @ lr.B_y.T, eta_z, xi
+    return lr.prior.mul(xi).T, xy - corr @ lr.B_y.T, eta_z, xi
 
 
-def _log_q_joint(state: VariationalState, eta_theta, y, white):
-    """log q(eta_theta, y) given white = L^-1 eta_theta^T for the field
-    prior's factor L, which gives the prior term of the precision."""
-    lr = state.lowrank
-    d = eta_theta.shape[1] + y.shape[1]
+def log_weight_terms(model, state: VariationalState, params: ModelParams,
+                     prior: PriorConfig, draws) -> dict:
+    """The terms of each draw's log weight, in summation order:
+    log w = (log_U - constraint) + (log_p_theta + log_p_y + log_p_eta_z - log_q)
+    with constraint = c^2 / (2 eps_c2), zero without a constraint.
+
+    draws is `_draw_q`'s (eta_theta, y, eta_z, white); each draw costs one
+    exact solve. log q reads white, then the mean's whitened deviation is
+    added to white in place for log p_theta: white is overwritten, and no
+    second d_theta x count array raises the peak memory."""
+    eta_theta, y, eta_z, white = draws
+    lr, fp = state.lowrank, prior.field_prior
+    count, d_y = y.shape
+    k = params.d_z - d_y
     quad = np.sum(white**2, axis=0)
     # cho_factor leaves the input matrix in the unused upper triangle
-    Ly = np.tril(lr.Py_cho[0])
-    quad += np.sum((Ly.T @ y.T) ** 2, axis=0)
+    quad += np.sum((np.tril(lr.Py_cho[0]).T @ y.T) ** 2, axis=0)
     lin = eta_theta @ lr.G_theta.T + y @ lr.A.T
     quad += lr.tau_Q * np.sum(lin**2, axis=1)
-    return -0.5 * quad - 0.5 * d * LOG_2PI - 0.5 * lr.logdet()
+    log_q = -0.5 * quad - 0.5 * (fp.d + d_y) * LOG_2PI - 0.5 * lr.logdet()
+    white += fp.whiten(params.mu_theta - fp.mean)[:, None]
+    log_p_eta_z = np.zeros(count)
+    if k > 0:
+        sq = np.sum(eta_z**2, axis=1)
+        log_q = log_q - 0.5 * state.tau_z * sq + 0.5 * k * (np.log(state.tau_z) - LOG_2PI)
+        log_p_eta_z = -0.5 * prior.tau_z0 * sq + 0.5 * k * (np.log(prior.tau_z0) - LOG_2PI)
+
+    log_U, constraint = np.empty(count), np.zeros(count)
+    zs = params.mu_z[None, :] + y @ params.W.T + eta_z
+    for i in range(count):
+        log_U[i] = log_utility(model, model.evaluate(params.mu_theta + eta_theta[i], zs[i]))
+        if model.constraint is not None:
+            c, _ = constraint_value_and_gradient(model.constraint, zs[i])
+            constraint[i] = 0.5 * c * c / model.constraint.eps_c2
+    return dict(
+        log_U=log_U, constraint=constraint,
+        log_p_theta=-0.5 * np.sum(white**2, axis=0) - 0.5 * fp.d * LOG_2PI - 0.5 * fp.logdet(),
+        log_p_y=-0.5 * prior.tau_y0 * np.sum(y**2, axis=1)
+        + 0.5 * d_y * (np.log(prior.tau_y0) - LOG_2PI),
+        log_p_eta_z=log_p_eta_z, log_q=log_q)
 
 
 def estimate_nKL(model, state: VariationalState, params: ModelParams,
                  prior: PriorConfig, M: int, rng: np.random.Generator) -> ValidationReport:
-    """Normalized KL estimate; each of the M samples costs one exact solve."""
+    """Normalized KL estimate from the log weights of M draws from q
+    (`log_weight_terms`); each draw costs one exact solve."""
     if M < 2:
         raise ValueError("need at least two importance samples")
-    d_z, d_y = params.W.shape
-    k = d_z - d_y
     calls_before = model.forward_calls
-
-    eta_theta, y, eta_z, white = _draw_q(state, params, M, rng)
-
-    # the draws come whitened; the mean's deviation takes one vector solve
-    fp = prior.field_prior
-    dev = sla.solve_triangular(fp.chol, params.mu_theta - fp.mean, lower=True,
-                               check_finite=False)
-    log_q = _log_q_joint(state, eta_theta, y, white)
-    if k > 0:
-        log_q = log_q - 0.5 * state.tau_z * np.sum(eta_z**2, axis=1) \
-            + 0.5 * k * (np.log(state.tau_z) - LOG_2PI)
-
-    half = white
-    half += dev[:, None]  # in place: log q has read the draws' part already
-    log_p_theta = -0.5 * np.sum(half**2, axis=0) \
-        - 0.5 * fp.d * LOG_2PI - 0.5 * fp.logdet()
-    log_p_y = -0.5 * prior.tau_y0 * np.sum(y**2, axis=1) \
-        + 0.5 * d_y * (np.log(prior.tau_y0) - LOG_2PI)
-    log_p_eta_z = np.zeros(M)
-    if k > 0:
-        log_p_eta_z = -0.5 * prior.tau_z0 * np.sum(eta_z**2, axis=1) \
-            + 0.5 * k * (np.log(prior.tau_z0) - LOG_2PI)
-
-    log_w = np.empty(M)
-    zs = params.mu_z[None, :] + y @ params.W.T + eta_z
-    for i in range(M):
-        u = model.evaluate(params.mu_theta + eta_theta[i], zs[i])
-        log_w[i] = log_utility(model, u)
-        if model.constraint is not None:
-            c, _ = constraint_value_and_gradient(model.constraint, zs[i])
-            log_w[i] -= 0.5 * c * c / model.constraint.eps_c2
-    log_w += log_p_theta + log_p_y + log_p_eta_z - log_q
+    t = log_weight_terms(model, state, params, prior, _draw_q(state, params, M, rng))
+    log_w = (t["log_U"] - t["constraint"]) \
+        + (t["log_p_theta"] + t["log_p_y"] + t["log_p_eta_z"] - t["log_q"])
 
     if not np.any(np.isfinite(log_w)) or np.max(log_w) == -np.inf:
         raise WeightUnderflowError("all importance weights underflowed")
@@ -135,7 +131,8 @@ def estimate_nKL(model, state: VariationalState, params: ModelParams,
     log_mean_w = float(lse - np.log(M))
     mean_log_w = float(np.mean(log_w))
     KL = log_mean_w - mean_log_w
-    H_q = float(-0.5 * (fp.d + d_y) * LOG_2PI - 0.5 * state.lowrank.logdet()
+    d_y, k = params.d_y, params.d_z - params.d_y
+    H_q = float(-0.5 * (state.d_theta + d_y) * LOG_2PI - 0.5 * state.lowrank.logdet()
                 - 0.5 * k * (LOG_2PI - np.log(state.tau_z)))
     ess = float(np.exp(2.0 * lse - logsumexp(2.0 * log_w)))
     kl_se = _jackknife_se(log_w)

@@ -25,7 +25,6 @@ from functools import cached_property
 
 import numpy as np
 import scipy.linalg as sla
-from scipy.linalg.blas import dtrmm
 
 from .random_field import FieldPrior
 from . import stiefel
@@ -91,8 +90,9 @@ class LowRankFactors:
     Cov = blockdiag(C0, Py^{-1}) - B S^{-1} B^T with B = [B_th; B_y],
     S = I/tau_Q + M + A Py^{-1} A^T, A = G_z W, and C0 = L L^T the field
     prior held as its factor L. The theta rows are held by the whitened
-    Jacobian X = L^T G_theta^T and its Gram M = X^T X = G_theta C0 G_theta^T,
-    so B_th = C0 G_theta^T = L X is formed only when it is read.
+    Jacobian X = L^T G_theta^T and its Gram M = X^T X = G_theta C0 G_theta^T;
+    B_th = C0 G_theta^T = L X is formed on first read, by one product with
+    the factor (`FieldPrior.mul`).
     """
 
     prior: FieldPrior
@@ -107,9 +107,7 @@ class LowRankFactors:
 
     @cached_property
     def B_th(self):
-        """C0 G_theta^T = L X, one product on the factor's Fortran-order
-        view U = L^T, formed on first read."""
-        return dtrmm(1.0, self.prior.chol.T, self.X, trans_a=1)
+        return self.prior.mul(self.X)
 
     def logdet(self):
         """Log-determinant of the (eta_theta, y) covariance above."""
@@ -149,13 +147,6 @@ class VariationalState:
     @property
     def d_y(self):
         return self.C_yy.shape[0]
-
-
-def _check_orthonormal(W, tol=1e-8):
-    d_y = W.shape[1]
-    drift = np.max(np.abs(W.T @ W - np.eye(d_y)))
-    if drift > tol:
-        raise ValueError(f"W is not orthonormal (max deviation {drift:.3e})")
 
 
 def _y_prior_precision(prior: PriorConfig, W, f, eps_c2):
@@ -200,7 +191,7 @@ def vb_expectation(G_theta, G_z, params: ModelParams, prior: PriorConfig,
     Woodbury identity with an n x n capacitance matrix (`LowRankFactors`).
     """
     W = params.W
-    _check_orthonormal(W)
+    stiefel.require_feasible(W)
     G_theta = np.asarray(G_theta, dtype=float)
     G_z = np.asarray(G_z, dtype=float)
     A = G_z @ W
@@ -208,9 +199,7 @@ def vb_expectation(G_theta, G_z, params: ModelParams, prior: PriorConfig,
     tau_z = _tau_z_update(prior, G_z, A, W, tau_Q, f, eps_c2)
     fp = prior.field_prior
     n = G_theta.shape[0]
-    # X = L^T G_theta^T by one triangular product on the factor's
-    # Fortran-order view U = L^T; its Gram is G_theta C0 G_theta^T
-    X = dtrmm(1.0, fp.chol.T, G_theta.T)
+    X = fp.mul(G_theta.T, trans=True)
     M = X.T @ X
     try:
         Py_cho = sla.cho_factor(Py, lower=True)
@@ -334,8 +323,7 @@ def initial_W(d_z: int, d_y: int, rng: np.random.Generator) -> np.ndarray:
     """Orthonormalized standard-normal basis."""
     if not 1 <= d_y <= d_z:
         raise ValueError(f"need 1 <= d_y <= d_z, got d_y = {d_y} and d_z = {d_z}")
-    Q, R = np.linalg.qr(rng.standard_normal((d_z, d_y)))
-    return Q * np.sign(np.diag(R))
+    return stiefel.qr_fix(rng.standard_normal((d_z, d_y)))
 
 
 def run_vbem(G_theta, G_z, params: ModelParams, prior: PriorConfig, tau_Q: float,

@@ -361,6 +361,14 @@ class TestRunPipeline:
         heat_man = (heat_run[0] / "manifest.txt").read_text()
         assert "map_phi_estimates" not in heat_man and "map_gibbs_sweeps" not in heat_man
 
+    def test_topo_map_writes_phi_mean(self, heat_run, tmp_path):
+        # one row per element, printed as mu_theta.csv is; heat has no spins
+        art = run(parse_config(SMALL_TOPO), stage="map", outdir=tmp_path)
+        rows = (tmp_path / "phi_mean.csv").read_text().splitlines()
+        assert rows[0] == "element_id,value"
+        assert rows[1:] == [f"{e},{v:.17g}" for e, v in enumerate(art.map_result.phi_mean)]
+        assert not (heat_run[0] / "phi_mean.csv").exists()
+
     def test_map_run_draws_the_chain_once(self, tmp_path, monkeypatch):
         # every spin estimate of a run reads one stream, drawn at the first
         draws = []

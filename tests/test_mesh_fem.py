@@ -24,10 +24,9 @@ from vbdesign.mesh_fem import (
     build_regular_mesh,
     edge_mass_loads,
     element_dofs,
-    export_element_field,
+    element_geometry,
     export_mesh,
     grid_interpolation_weights,
-    signed_areas,
     solve_forward,
     unit_diffusion_element_matrices,
     unit_elasticity_element_matrices,
@@ -73,7 +72,7 @@ class TestBuildRegularMesh:
 
     def test_positive_signed_areas(self):
         m = build_regular_mesh(7, 5, 2.0, 1.3)
-        assert np.all(signed_areas(m) > 0)
+        assert np.all(element_geometry(m)[2] > 0)
 
     def test_boundary_edges_belong_to_one_triangle(self):
         m = build_regular_mesh(4, 3, 1.0, 1.0)
@@ -432,7 +431,3 @@ class TestInterpolationAndExport:
         export_mesh(m, tmp_path / "mesh.txt")
         lines = (tmp_path / "mesh.txt").read_text().splitlines()
         assert len(lines) == m.n_nodes + m.n_elements + len(m.boundary_edges)
-        export_element_field(np.arange(m.n_elements, dtype=float), tmp_path / "f.csv")
-        rows = (tmp_path / "f.csv").read_text().splitlines()
-        assert rows[0] == "element_id,value"
-        assert len(rows) == m.n_elements + 1

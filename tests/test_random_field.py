@@ -86,6 +86,25 @@ class TestBuildCovariance:
             with pytest.raises(ValueError):
                 prior.quad(v)
 
+    def test_mul_and_whiten_match_dense_factor(self, rng):
+        # L B, L^T B and L^-1 B against dense products with L on the 5x4
+        # lattice, for a vector and for columns; neither reads the upper
+        # triangle
+        prior = small_prior()
+        L = prior.chol
+        chol = L.copy()
+        chol[np.triu_indices(prior.d, 1)] = np.nan
+        poisoned = random_field.FieldPrior(MU0, SG2, X0, chol)
+        for B in (rng.standard_normal(prior.d), rng.standard_normal((prior.d, 3))):
+            for trans, dense in ((False, L), (True, L.T)):
+                got = poisoned.mul(B, trans=trans)
+                assert got.shape == B.shape
+                assert np.max(np.abs(got - dense @ B)) <= 1e-12 * np.max(np.abs(dense @ B))
+            expect = np.linalg.solve(L, B)
+            got = poisoned.whiten(B)
+            assert got.shape == B.shape
+            assert np.max(np.abs(got - expect)) <= 1e-12 * np.max(np.abs(expect))
+
     def test_nugget_retry_rebuilds_the_kernel(self):
         # a repeated centroid makes the kernel exactly singular; the failed
         # in-place factorization has overwritten it, so the retry must

@@ -3,14 +3,13 @@
 import numpy as np
 import pytest
 import scipy.linalg as sla
-from scipy.linalg.blas import dtrmm
 from scipy.stats import multivariate_normal
 
 from conftest import (LinearModel, joint_cov, make_field_prior, prior_covariance,
                       toy_vb_instance)
-from vbdesign import cli, validation, vb
-from vbdesign.problems import constraint_value_and_gradient, log_utility
-from vbdesign.validation import _draw_q, _log_q_joint, estimate_nKL
+from vbdesign import cli, random_field
+from vbdesign.problems import ConstraintDescriptor, constraint_value_and_gradient, log_utility
+from vbdesign.validation import _draw_q, estimate_nKL, log_weight_terms
 from vbdesign.vb import ModelParams, PriorConfig, initial_W, run_vbem, vb_expectation
 
 
@@ -61,16 +60,14 @@ class TestSampleQ:
         st = vb_expectation(model.G_theta, model.G_z, params, prior, model.tau_Q)
         calls = []
 
-        def counted(name):
-            def counting(*args, **kwargs):
-                calls.append(name)
-                return dtrmm(*args, **kwargs)
-            return counting
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return dtrmm(*args, **kwargs)
 
-        monkeypatch.setattr(vb, "dtrmm", counted("vb"))
-        monkeypatch.setattr(validation, "dtrmm", counted("validation"))
+        dtrmm = random_field.dtrmm
+        monkeypatch.setattr(random_field, "dtrmm", counting)
         _draw_q(st, params, 40, rng)
-        assert calls == ["validation"]
+        assert len(calls) == 1
         assert "B_th" not in vars(st.lowrank) and "C_thy" not in vars(st)
 
     def test_generator_stream_and_draws_on_a_topology_q(self):
@@ -140,7 +137,8 @@ class TestLogQJoint:
     def test_constrained_lowrank_matches_dense_gaussian(self, rng):
         # with a constraint gradient the y precision carries the dense
         # rank-one term (W^T f)(W^T f)^T / eps_c2, which the low-rank
-        # density must read from the Cholesky factor alone
+        # density must read from the Cholesky factor alone; eta_z adds the
+        # isotropic Gaussian on the complement of W
         d_theta, d_z, d_y, n = 7, 9, 4, 3
         model, params, prior = linear_bundle(rng, d_theta=d_theta, d_z=d_z,
                                              d_y=d_y, n=n)
@@ -149,10 +147,74 @@ class TestLogQJoint:
                             f=f, eps_c2=1e-3)
         cov = joint_cov(st)
         x = rng.multivariate_normal(np.zeros(d_theta + d_y), cov, size=50)
-        expect = multivariate_normal(np.zeros(d_theta + d_y), cov).logpdf(x)
+        P = sla.null_space(params.W.T)
+        eta_z = rng.standard_normal((50, d_z - d_y)) @ P.T / np.sqrt(st.tau_z)
+        expect = (multivariate_normal(np.zeros(d_theta + d_y), cov).logpdf(x)
+                  + multivariate_normal(np.zeros(d_z - d_y),
+                                        np.eye(d_z - d_y) / st.tau_z).logpdf(eta_z @ P))
         white = sla.solve_triangular(prior.field_prior.chol, x[:, :d_theta].T, lower=True)
-        got = _log_q_joint(st, x[:, :d_theta], x[:, d_theta:], white)
+        draws = x[:, :d_theta], x[:, d_theta:], eta_z, white
+        got = log_weight_terms(model, st, params, prior, draws)["log_q"]
         assert np.max(np.abs(got - expect)) <= 1e-8 * (1.0 + np.max(np.abs(expect)))
+
+
+def constrained_toy():
+    """A linear model under the volume-fraction constraint, with q fitted at
+    the constraint gradient of mu_z."""
+    model, params, prior = linear_bundle(np.random.default_rng(21))
+    model.constraint = ConstraintDescriptor(target_VF=0.4, eps_c2=1e-2)
+    _, f = constraint_value_and_gradient(model.constraint, params.mu_z)
+    st = vb_expectation(model.G_theta, model.G_z, params, prior, model.tau_Q,
+                        f=f, eps_c2=model.constraint.eps_c2)
+    return model, params, prior, st
+
+
+def small_heat():
+    """The heat problem on an 8x4 grid, q fitted away from the prior mean."""
+    cfg = cli.parse_config("problem = heat_flux\nmesh.nx = 8\nmesh.ny = 4\n")
+    model = cli.build_problem(cfg)
+    prior = cli.make_prior(cfg, model)
+    rng = np.random.default_rng(22)
+    params = ModelParams(mu_z=0.1 * rng.standard_normal(model.d_z),
+                         W=initial_W(model.d_z, 3, rng),
+                         mu_theta=model.field_prior.mean + 0.1 * rng.standard_normal(model.d_theta))
+    _, G_theta, G_z = model.evaluate_with_jacobians(params.mu_theta, params.mu_z)
+    st = vb_expectation(G_theta, G_z, params, prior, model.tau_Q)
+    return model, params, prior, st
+
+
+class TestLogWeightTerms:
+    @pytest.mark.parametrize("bundle", [constrained_toy, small_heat], ids=["toy", "heat"])
+    def test_columns_sum_to_the_report_log_weights(self, bundle):
+        # log w is the table's columns summed in their order, bit for bit,
+        # at one forward call per draw
+        model, params, prior, st = bundle()
+        M = 30
+        rep = estimate_nKL(model, st, params, prior, M, np.random.default_rng(4))
+        draws = _draw_q(st, params, M, np.random.default_rng(4))
+        calls = model.forward_calls
+        t = log_weight_terms(model, st, params, prior, draws)
+        assert model.forward_calls - calls == M
+        assert list(t) == ["log_U", "constraint", "log_p_theta", "log_p_y",
+                           "log_p_eta_z", "log_q"]
+        log_w = (t["log_U"] - t["constraint"]) \
+            + (t["log_p_theta"] + t["log_p_y"] + t["log_p_eta_z"] - t["log_q"])
+        assert np.array_equal(log_w, rep.log_weights)
+
+    @pytest.mark.parametrize("bundle", [constrained_toy, small_heat], ids=["toy", "heat"])
+    def test_constraint_column_is_the_penalty(self, bundle):
+        # c^2 / (2 eps_c2) of each draw's design; zero without a constraint
+        model, params, prior, st = bundle()
+        eta_theta, y, eta_z, white = _draw_q(st, params, 20, np.random.default_rng(6))
+        zs = params.mu_z + y @ params.W.T + eta_z
+        got = log_weight_terms(model, st, params, prior, (eta_theta, y, eta_z, white))
+        if model.constraint is None:
+            assert np.array_equal(got["constraint"], np.zeros(20))
+            return
+        cs = [constraint_value_and_gradient(model.constraint, z)[0] for z in zs]
+        expect = np.array(cs) ** 2 / (2.0 * model.constraint.eps_c2)
+        assert np.max(np.abs(got["constraint"] - expect)) <= 1e-12 * np.max(expect)
+        assert np.max(expect) > 0.0
 
 
 class TestEstimateNKL:
