@@ -4,13 +4,14 @@ forward problems (steady diffusion, plane-stress elastostatics).
 Element coefficients (conductivity, Young's modulus) are constant per
 triangle, so one-point quadrature is exact. Each problem builds a
 StiffnessPattern once: the reverse Cuthill-McKee order of the free-free
-block, its half-bandwidth kd, and the slot of every kept upper element
-entry in LAPACK upper band storage (kd+1, n). An assembly is then one
-weighted bincount straight into the band; clamped dofs are never
-assembled. The block is symmetric positive definite, so solve_forward
-factors the band with LAPACK's banded Cholesky (dpbtrf), dense kernels and
-no symbolic phase, and the factor is retained and reused for all adjoint
-right-hand sides.
+block, its half-bandwidth kd, the band's dof list (the dof of each band
+row) and the slot of every kept upper element entry in LAPACK upper band
+storage (kd+1, n). An assembly is then one weighted bincount straight into
+the band; clamped dofs are never assembled. The block is symmetric positive
+definite, so solve_forward factors the band with LAPACK's banded Cholesky
+(dpbtrf), dense kernels and no symbolic phase. Every solve, forward or
+adjoint, gathers its right-hand side through the dof list once and
+scatters its solution once; the factor is reused for the adjoints.
 """
 
 from __future__ import annotations
@@ -168,14 +169,14 @@ def unit_elasticity_element_matrices(mesh: Mesh, nu: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class BandedBlock:
-    """Symmetric block in LAPACK upper band storage, rows and columns in perm order.
+    """Symmetric block in LAPACK upper band storage on its pattern's band rows.
 
-    ab[kd + i - j, j] holds entry (i, j), i <= j, of the permuted block,
-    whose row i is row perm[i] of the block itself.
+    ab[kd + i - j, j] holds entry (i, j), i <= j, between band rows i and j,
+    which are the dofs pattern.dofs[i] and pattern.dofs[j].
     """
 
     ab: np.ndarray
-    perm: np.ndarray
+    pattern: StiffnessPattern
 
     @property
     def shape(self):
@@ -183,21 +184,17 @@ class BandedBlock:
         return (n, n)
 
     def toarray(self) -> np.ndarray:
+        """Dense block, rows and columns in ascending kept-dof order."""
         kd = self.ab.shape[0] - 1
         n = self.shape[0]
         band = np.zeros((n, n))
         for d in range(kd + 1):
             i = np.arange(n - d)
             band[i, i + d] = band[i + d, i] = self.ab[kd - d, d:]
+        perm = self.pattern.perm
         out = np.empty_like(band)
-        out[np.ix_(self.perm, self.perm)] = band
+        out[np.ix_(perm, perm)] = band
         return out
-
-    def __matmul__(self, x: np.ndarray) -> np.ndarray:
-        """Block times a vector, both in the block's own dof order."""
-        y = np.empty(self.shape[0])
-        y[self.perm] = blas.dsbmv(self.ab.shape[0] - 1, 1.0, self.ab, x[self.perm])
-        return y
 
 
 @dataclass(frozen=True)
@@ -205,17 +202,17 @@ class BandedCholesky:
     """Upper band Cholesky factor U (U^T U = block) of a BandedBlock."""
 
     cb: np.ndarray
-    perm: np.ndarray
+    dofs: np.ndarray
 
     @property
     def nnz(self) -> int:
         return self.cb.size
 
-    def solve(self, rhs: np.ndarray) -> np.ndarray:
-        """Block^-1 rhs for a vector or for each column of a matrix."""
-        x, _ = lapack.dpbtrs(self.cb, rhs[self.perm])
-        out = np.empty_like(x)
-        out[self.perm] = x
+    def solve(self, rhs_full: np.ndarray) -> np.ndarray:
+        """Block^-1 rhs, zero on clamped dofs, for full-length columns or a vector."""
+        x, _ = lapack.dpbtrs(self.cb, rhs_full[self.dofs])
+        out = np.zeros_like(rhs_full)
+        out[self.dofs] = x
         return out
 
 
@@ -226,13 +223,15 @@ class StiffnessPattern:
     Built once per problem from the element dof map, the unit element
     matrices and the sorted dofs to keep. The kept dofs are put in reverse
     Cuthill-McKee order, perm, which makes the block a band of
-    half-bandwidth kd. Every element entry whose row and column are both
-    kept and which lies on or above the permuted diagonal has its slot in
-    Fortran-order upper band storage (kd+1, n), its unit value and its
-    element, so an assembly is one weighted bincount into the band.
+    half-bandwidth kd, and dofs = keep[perm] is the dof of each band row.
+    Every element entry whose row and column are both kept and which lies
+    on or above the permuted diagonal has its slot in Fortran-order upper
+    band storage (kd+1, n), its unit value and its element, so an assembly
+    is one weighted bincount into the band.
     """
 
     perm: np.ndarray
+    dofs: np.ndarray
     kd: int
     slot: np.ndarray
     ke: np.ndarray
@@ -264,7 +263,7 @@ class StiffnessPattern:
         upper = i <= j
         kd = int(np.max(j - i))
         elem = np.repeat(np.arange(dof_map.shape[0]), kept.sum(axis=(1, 2)))
-        return cls(perm, kd, ((kd + i - j) + j * (kd + 1))[upper],
+        return cls(perm, keep[perm], kd, ((kd + i - j) + j * (kd + 1))[upper],
                    ke_unit[kept][upper], elem[upper], dof_map.shape[0])
 
     def assemble(self, coef: np.ndarray, name: str) -> BandedBlock:
@@ -276,11 +275,11 @@ class StiffnessPattern:
             raise ValueError(f"{name} must be finite")
         if np.any(coef <= 0.0):
             raise ValueError(f"{name} must be strictly positive")
-        n = self.perm.size
+        n = self.dofs.size
         data = np.bincount(self.slot, weights=self.ke * coef[self.elem],
                            minlength=(self.kd + 1) * n)
         # each column of the band is contiguous: Fortran order, as LAPACK reads it
-        return BandedBlock(data.reshape(n, self.kd + 1).T, self.perm)
+        return BandedBlock(data.reshape(n, self.kd + 1).T, self)
 
 
 def assemble_diffusion(pattern: StiffnessPattern, conductivity: np.ndarray) -> BandedBlock:
@@ -345,33 +344,27 @@ class BoundaryConditions:
 
 @dataclass
 class SystemSolution:
-    """Full nodal field and the retained factorization."""
+    """Full nodal field and the retained factorization's solve (BandedCholesky)."""
 
     nodal_field: np.ndarray
     K_factorization: object
-    free: np.ndarray
     residual_rel: float
-
-    def adjoint(self, rhs_full: np.ndarray) -> np.ndarray:
-        """Solve K^T lam = rhs for each column; clamped dofs of lam are zero.
-
-        The operator is symmetric so the forward factorization is reused.
-        """
-        lam = np.zeros_like(rhs_full)
-        lam[self.free] = self.K_factorization(rhs_full[self.free])
-        return lam
 
 
 def solve_forward(Kff: BandedBlock, bc: BoundaryConditions, load: np.ndarray) -> SystemSolution:
     """Banded Cholesky solve on the free-free block; clamped dofs stay zero.
 
-    Kff is the operator restricted to bc.free (see StiffnessPattern).
+    Kff is the operator restricted to bc.free (see StiffnessPattern); the
+    residual is formed on the band rows.
     """
-    free = bc.free
-    if Kff.shape != (free.size, free.size):
-        raise ValueError(f"free-free block must be {(free.size, free.size)}, got {Kff.shape}")
-    u = np.zeros(bc.ndof)
-    rhs = np.asarray(load, dtype=float)[free]
+    n = bc.free.size
+    if Kff.shape != (n, n):
+        raise ValueError(f"free-free block must be {(n, n)}, got {Kff.shape}")
+    load = np.asarray(load, dtype=float)
+    if load.shape != (bc.ndof,):
+        raise ValueError(f"load must have shape {(bc.ndof,)}, got {load.shape}")
+    dofs = Kff.pattern.dofs
+    rhs = load[dofs]
     cb, info = lapack.dpbtrf(Kff.ab)
     if info != 0:
         raise SingularSystemError(_estimate_nullity(Kff))
@@ -381,13 +374,13 @@ def solve_forward(Kff: BandedBlock, bc: BoundaryConditions, load: np.ndarray) ->
     piv = cb[-1] ** 2
     if piv.size and piv.min() <= 1e-15 * max(piv.max(), 1e-300):
         raise SingularSystemError(_estimate_nullity(Kff))
-    factor = BandedCholesky(cb, Kff.perm)
-    uf = factor.solve(rhs)
-    if not np.all(np.isfinite(uf)):
+    x, _ = lapack.dpbtrs(cb, rhs)
+    if not np.all(np.isfinite(x)):
         raise SingularSystemError(_estimate_nullity(Kff))
-    u[free] = uf
+    u = np.zeros(bc.ndof)
+    u[dofs] = x
 
-    res = np.linalg.norm(Kff @ uf - rhs)
+    res = np.linalg.norm(blas.dsbmv(Kff.ab.shape[0] - 1, 1.0, Kff.ab, x) - rhs)
     den = np.linalg.norm(rhs)
     residual_rel = res / den if den > 0 else res
     # saturated void/material contrasts degrade accuracy to ~1e-5 while
@@ -395,7 +388,7 @@ def solve_forward(Kff: BandedBlock, bc: BoundaryConditions, load: np.ndarray) ->
     # treated as singular
     if residual_rel > 1e-3:
         raise SingularSystemError(_estimate_nullity(Kff))
-    return SystemSolution(u, factor.solve, free, residual_rel)
+    return SystemSolution(u, BandedCholesky(cb, dofs).solve, residual_rel)
 
 
 def _estimate_nullity(Kff, tol=1e-10):

@@ -142,7 +142,7 @@ class ForwardModel:
         if self._last is None:
             raise StaleFactorizationError("no retained forward solution")
         theta, z, sol = self._last
-        lam = sol.adjoint(self._adjoint_rhs)
+        lam = sol.K_factorization(self._adjoint_rhs)
         base = mesh_fem.element_bilinear(self._ke_unit, self._dofs, lam, sol.nodal_field)
         return self._chain_rule(lam, base, theta, z)
 

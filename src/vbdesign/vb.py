@@ -218,18 +218,19 @@ def vb_expectation(G_theta, G_z, params: ModelParams, prior: PriorConfig,
 
 
 def evaluate_F(state: VariationalState, params: ModelParams, prior: PriorConfig,
-               tau_Q: float, residual, G_theta, G_z, f=None, eps_c2=None,
+               residual, G_z, f=None, eps_c2=None,
                log_p_mu_z: float = 0.0, c_mu: float = 0.0) -> float:
     """Variational lower bound at (q, R), additive constants included.
 
     With every Gaussian normalizer kept, this equals E_q[log(U_lin p/q)] for
     the linearized outputs, which the Monte Carlo oracle and the importance
-    sampling validator both exploit. The q terms read the state's M and
-    GC_thy, so G_theta must be the Jacobian q was fitted on.
+    sampling validator both exploit. The theta terms and tau_Q are read from
+    q, which holds them from the Jacobian it was fitted on.
     """
     W = params.W
     d_z, d_y = W.shape
-    d_theta = G_theta.shape[1]
+    d_theta = state.d_theta
+    tau_Q = state.lowrank.tau_Q
     k = d_z - d_y
     r = np.asarray(residual, dtype=float)
     A = G_z @ W
@@ -351,7 +352,7 @@ def run_vbem(G_theta, G_z, params: ModelParams, prior: PriorConfig, tau_Q: float
     history = []
     streak = 0
     for _ in range(MAX_ITERS):
-        F_q = evaluate_F(state, params, prior, tau_Q, residual, G_theta, G_z, **fkw)
+        F_q = evaluate_F(state, params, prior, residual, G_z, **fkw)
         problem = stiefel.StiefelProblem(
             G_z=G_z, cross=G_z.T @ state.GC_thy, C_yy=state.C_yy,
             tau_z=state.tau_z, tau_Q=tau_Q, f=f, eps_c2=eps_c2)
@@ -361,7 +362,7 @@ def run_vbem(G_theta, G_z, params: ModelParams, prior: PriorConfig, tau_Q: float
             history.append((F_q, F_q))
             return VbemResult(state, params, history, len(history), not res.stalled)
         params = replace(params, W=res.W)
-        F_w = evaluate_F(state, params, prior, tau_Q, residual, G_theta, G_z, **fkw)
+        F_w = evaluate_F(state, params, prior, residual, G_z, **fkw)
         if history and abs(F_w - history[-1][1]) <= FTOL * (1.0 + abs(F_w)):
             streak += 1
         else:

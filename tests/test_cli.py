@@ -471,6 +471,23 @@ class TestMainExitCodes:
         assert solves == []
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("stage, code", [("map", 0), ("vbem", 2), ("all", 2)])
+    def test_basis_size_is_checked_for_the_stages_that_fit_q(self, tmp_path, monkeypatch,
+                                                             stage, code):
+        # the default vb.d_y = 10 exceeds d_z = 5 of the 8x4 heat mesh; the map
+        # stage never reads it, a stage that fits q stops before a solve or an output
+        solves, solve = [], problems.solve_forward
+        monkeypatch.setattr(problems, "solve_forward",
+                            lambda *a, **kw: solves.append(1) or solve(*a, **kw))
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("problem = heat_flux\nmesh.nx = 8\nmesh.ny = 4\n")
+        out = tmp_path / "o"
+        assert cli.main(["--config", str(cfg), "--out", str(out), "--stage", stage]) == code
+        if code == 0:
+            assert (out / "manifest.txt").is_file()
+        else:
+            assert solves == [] and not out.exists()
+
     def test_missing_config_file_exit_2(self, tmp_path):
         assert cli.main(["--config", str(tmp_path / "nope.cfg")]) == 2
 

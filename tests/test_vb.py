@@ -101,7 +101,7 @@ class TestVbExpectation:
         assert np.max(np.abs(cov_opt - joint)) < 1e-6
         assert abs(tau_z_opt - st.tau_z) / st.tau_z < 1e-6
         # and the closed form attains at least the numeric maximum
-        F_closed = evaluate_F(st, params, prior, tau_Q, residual, G_theta, G_z)
+        F_closed = evaluate_F(st, params, prior, residual, G_z)
         assert F_closed >= -out.fun - 1e-9
 
     @pytest.mark.parametrize("constrained", [False, True])
@@ -151,8 +151,8 @@ class TestEvaluateF:
     def test_bitwise_idempotent(self, rng):
         G_theta, G_z, params, prior, tau_Q, residual = toy_vb_instance(rng)
         st = vb_expectation(G_theta, G_z, params, prior, tau_Q)
-        a = evaluate_F(st, params, prior, tau_Q, residual, G_theta, G_z)
-        b = evaluate_F(st, params, prior, tau_Q, residual, G_theta, G_z)
+        a = evaluate_F(st, params, prior, residual, G_z)
+        b = evaluate_F(st, params, prior, residual, G_z)
         assert a == b
 
     @pytest.mark.parametrize("d_theta", [1, 30, 300])
@@ -165,7 +165,7 @@ class TestEvaluateF:
         for kw in ({}, dict(f=f, eps_c2=1e-4)):
             st = vb_expectation(G_theta, G_z, params, prior, tau_Q, **kw)
             kw.update(log_p_mu_z=-0.37, c_mu=0.2)
-            F = evaluate_F(st, params, prior, tau_Q, residual, G_theta, G_z, **kw)
+            F = evaluate_F(st, params, prior, residual, G_z, **kw)
             ref = dense_bound(joint_cov(st), st.tau_z, params, prior, tau_Q, residual,
                               G_theta, G_z, **kw)
             assert F == pytest.approx(ref, rel=1e-9, abs=0.0)
@@ -184,7 +184,7 @@ class TestEvaluateF:
         G_theta, G_z, params, prior, tau_Q, residual = toy_vb_instance(
             rng, d_theta=3, d_z=4, d_y=2, n=2, tau_y0=0.8, eps2=0.3)
         st = vb_expectation(G_theta, G_z, params, prior, tau_Q)
-        F = evaluate_F(st, params, prior, tau_Q, residual, G_theta, G_z)
+        F = evaluate_F(st, params, prior, residual, G_z)
 
         M = 100_000
         d_theta, d_z, d_y = 3, 4, 2
@@ -233,7 +233,7 @@ class TestEvaluateF:
             p = replace(params, W=R @ W)
             kw = dict(f=R @ f, eps_c2=eps_c2)
             st = vb_expectation(G_theta, G_z @ R.T, p, prior, tau_Q, **kw)
-            return evaluate_F(st, p, prior, tau_Q, residual, G_theta, G_z @ R.T, **kw)
+            return evaluate_F(st, p, prior, residual, G_z @ R.T, **kw)
 
         exact = bound(np.eye(d_z))
         for _ in range(3):
@@ -244,7 +244,7 @@ class TestEvaluateF:
         st = vb_expectation(G_theta, G_z, params, prior, tau_Q)
         bad = replace(st, tau_z=np.inf)
         with pytest.raises(FloatingPointError):
-            evaluate_F(bad, params, prior, tau_Q, residual, G_theta, G_z)
+            evaluate_F(bad, params, prior, residual, G_z)
 
 
 class TestFactorProducts:
@@ -262,7 +262,7 @@ class TestFactorProducts:
         dtrmm = random_field.dtrmm
         monkeypatch.setattr(random_field, "dtrmm", counting)
         st = vb_expectation(G_theta, G_z, params, prior, tau_Q)
-        evaluate_F(st, params, prior, tau_Q, residual, G_theta, G_z)
+        evaluate_F(st, params, prior, residual, G_z)
         assert len(calls) == 1
         assert "B_th" not in vars(st.lowrank) and "C_thy" not in vars(st)
         st.C_thy
@@ -336,12 +336,12 @@ class TestSensitiveDirections:
         G_theta, G_z, params, prior, tau_Q, residual = toy_vb_instance(
             rng, d_theta=5, d_z=7, d_y=3, n=3)
         st = vb_expectation(G_theta, G_z, params, prior, tau_Q)
-        F = evaluate_F(st, params, prior, tau_Q, residual, G_theta, G_z)
+        F = evaluate_F(st, params, prior, residual, G_z)
         spec = sensitive_directions(st, params)
         perm = [2, 0, 1]
         params_p = replace(params, W=params.W[:, perm])
         st_p = vb_expectation(G_theta, G_z, params_p, prior, tau_Q)
-        F_p = evaluate_F(st_p, params_p, prior, tau_Q, residual, G_theta, G_z)
+        F_p = evaluate_F(st_p, params_p, prior, residual, G_z)
         spec_p = sensitive_directions(st_p, params_p)
         assert F_p == pytest.approx(F, rel=1e-12)
         assert np.allclose(spec_p.sigma2, spec.sigma2, rtol=1e-10)
