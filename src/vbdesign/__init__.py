@@ -31,7 +31,7 @@ from .vb import (
     sensitive_directions,
     vb_expectation,
 )
-from .stiefel import StiefelProblem, cayley_step, gradient_J, objective_FW, optimize_W
+from .stiefel import StiefelProblem, cayley_step, objective_FW, optimize_W, tangent_gradient
 from .map_opt import MapOptions, gn_step, optimize_map
 from .topo_prior import build_neighbor_graph, draw_chain, estimate_phi_mean, log_prior_mu_z
 from .validation import estimate_nKL

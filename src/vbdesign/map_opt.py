@@ -58,7 +58,7 @@ MAX_HALVINGS = 30   # damping halvings before an iteration stalls
 class MapOptions:
     tol: float = 1e-5
     max_iter: int = 220
-    c_z0: float = 100.0         # design-mean prior variance (see notes)
+    c_z0: float = 100.0         # vague N(0, c_z0 I) pull on an unconstrained design mean
     gibbs_sweeps: int = 500
     gibbs_burn_in: int = 100
     gibbs_seed: int = 777

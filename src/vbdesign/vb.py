@@ -14,8 +14,9 @@ d_theta x d_theta precision or covariance.
 
 `run_vbem` alternates the q update with a Cayley ascent of the basis
 (`stiefel`) from a closed-form start: for fixed q the basis bound is
-dominated by tr(W^T H W) / (2 tau_z) with H = tau_Q G_z^T G_z + f f^T / eps_c2,
-whose range has dimension at most n + 1.
+dominated by -T / (2 tau_z), T = tau_Q |G_z P|^2 + |P f|^2 / eps_c2 with
+P = I - W W^T, which vanishes once span(W) holds the range of
+H = tau_Q G_z^T G_z + f f^T / eps_c2, of dimension at most n + 1.
 """
 
 from __future__ import annotations
@@ -158,26 +159,6 @@ def _y_prior_precision(prior: PriorConfig, W, f, eps_c2):
     return Py
 
 
-def _complement_sums(G_z, A, W, f=None):
-    """|G_z (I - W W^T)|^2 and |(I - W W^T) f|^2 for A = G_z W; projecting
-    dodges the cancellation in |G_z|^2 - |A|^2, which 1/tau_z magnifies."""
-    gram_perp = float(np.sum((G_z - A @ W.T) ** 2))
-    if f is None:
-        return gram_perp, 0.0
-    f_perp = f - W @ (W.T @ f)
-    return gram_perp, float(f_perp @ f_perp)
-
-
-def _tau_z_update(prior: PriorConfig, G_z, A, W, tau_Q, f, eps_c2):
-    d_z, d_y = W.shape
-    k = d_z - d_y
-    if k == 0:
-        return prior.tau_z0
-    gram_perp, perp_f = _complement_sums(G_z, A, W, f)
-    total = tau_Q * gram_perp + (0.0 if f is None else perp_f / eps_c2)
-    return prior.tau_z0 + total / k
-
-
 def vb_expectation(G_theta, G_z, params: ModelParams, prior: PriorConfig,
                    tau_Q: float, f=None, eps_c2=None) -> VariationalState:
     """Closed-form optimal q for fixed point estimates, in low-rank form.
@@ -196,7 +177,10 @@ def vb_expectation(G_theta, G_z, params: ModelParams, prior: PriorConfig,
     G_z = np.asarray(G_z, dtype=float)
     A = G_z @ W
     Py = _y_prior_precision(prior, W, f, eps_c2)
-    tau_z = _tau_z_update(prior, G_z, A, W, tau_Q, f, eps_c2)
+    k = W.shape[0] - W.shape[1]
+    gram_perp, perp_f = stiefel.complement_sums(G_z, A, W, f)
+    total = tau_Q * gram_perp + (0.0 if f is None else perp_f / eps_c2)
+    tau_z = prior.tau_z0 + total / k if k else prior.tau_z0
     fp = prior.field_prior
     n = G_theta.shape[0]
     X = fp.mul(G_theta.T, trans=True)
@@ -233,16 +217,14 @@ def evaluate_F(state: VariationalState, params: ModelParams, prior: PriorConfig,
     tau_Q = state.lowrank.tau_Q
     k = d_z - d_y
     r = np.asarray(residual, dtype=float)
-    A = G_z @ W
 
     M = state.lowrank.M
     SinvM = sla.cho_solve(state.lowrank.S_cho, M)
     tr_GG_thth = float(np.trace(M)) - float(np.sum(M * SinvM))
     tr_C0inv_thth = d_theta - float(np.trace(SinvM))
 
-    tr_yy = float(np.sum((A.T @ A) * state.C_yy))
-    tr_cross = 2.0 * float(np.sum(A * state.GC_thy))
-    gram_perp, perp_f = _complement_sums(G_z, A, W, f) if k > 0 else (0.0, 0.0)
+    tr_yy, tr_cross, gram_perp, fCf, perp_f = stiefel.basis_sums(
+        G_z, W, state.C_yy, state.GC_thy, f)
 
     dev = params.mu_theta - prior.mu_theta0
     quad_theta = prior.field_prior.quad(dev)
@@ -264,9 +246,7 @@ def evaluate_F(state: VariationalState, params: ModelParams, prior: PriorConfig,
         "mu_z_prior": float(log_p_mu_z),
     }
     if f is not None:
-        fW = W.T @ f
-        terms["constraint"] = -0.5 / eps_c2 * (
-            c_mu**2 + float(fW @ state.C_yy @ fW) + perp_f / state.tau_z)
+        terms["constraint"] = -0.5 / eps_c2 * (c_mu**2 + fCf + perp_f / state.tau_z)
 
     total = 0.0
     for name, val in terms.items():
@@ -335,10 +315,12 @@ def run_vbem(G_theta, G_z, params: ModelParams, prior: PriorConfig, tau_Q: float
     the top k = min(d_y, n + 1) left singular vectors of
     B = [sqrt(tau_Q) G_z^T, f / sqrt(eps_c2)] (B B^T = H, module docstring),
     then the passed W projected off them and orthonormalized, which picks
-    only the d_y - k flat columns; for d_y >= n + 1 the tangent gradient
-    vanishes there. The loop stops at its fixed point, the first ascent that
-    leaves W unchanged (converged unless it stalled), or when the relative
-    bound change stays below FTOL for 3 consecutive iterations.
+    only the d_y - k flat columns. The loop stops, converged, at its fixed
+    point, the first ascent whose line search accepts no step (W, and so the
+    next q, unchanged): for d_y >= n + 1 the start spans range(B), where the
+    bound is maximal over W up to rounding, so in the first iteration. It
+    also stops, converged, once the relative bound change stays below FTOL
+    for 3 consecutive iterations, and unconverged after MAX_ITERS.
     """
     fkw = dict(f=f, eps_c2=eps_c2, log_p_mu_z=log_p_mu_z)
     B = np.sqrt(tau_Q) * G_z.T
@@ -354,13 +336,13 @@ def run_vbem(G_theta, G_z, params: ModelParams, prior: PriorConfig, tau_Q: float
     for _ in range(MAX_ITERS):
         F_q = evaluate_F(state, params, prior, residual, G_z, **fkw)
         problem = stiefel.StiefelProblem(
-            G_z=G_z, cross=G_z.T @ state.GC_thy, C_yy=state.C_yy,
+            G_z=G_z, GC_thy=state.GC_thy, C_yy=state.C_yy,
             tau_z=state.tau_z, tau_Q=tau_Q, f=f, eps_c2=eps_c2)
         res = stiefel.optimize_W(problem, params.W, W_STEPS)
         if res.steps == 0:
             # W unchanged: the next q, and every iteration after it, repeats this one
             history.append((F_q, F_q))
-            return VbemResult(state, params, history, len(history), not res.stalled)
+            return VbemResult(state, params, history, len(history), True)
         params = replace(params, W=res.W)
         F_w = evaluate_F(state, params, prior, residual, G_z, **fkw)
         if history and abs(F_w - history[-1][1]) <= FTOL * (1.0 + abs(F_w)):

@@ -332,7 +332,7 @@ def test_criterion_7_property_suites(heat_run, topo04_run, topo02_run, rng, tmp_
     # Stiefel feasibility drift over 100 steps
     C = rng.standard_normal((5, 5))
     prob = stiefel.StiefelProblem(G_z=rng.standard_normal((8, 25)),
-                                  cross=rng.standard_normal((25, 5)),
+                                  GC_thy=rng.standard_normal((8, 5)),
                                   C_yy=C @ C.T + 0.1 * np.eye(5),
                                   tau_z=3.0, tau_Q=2.0)
     out = stiefel.optimize_W(prob, initial_W(25, 5, rng), max_steps=100)

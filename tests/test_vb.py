@@ -13,7 +13,7 @@ import scipy.optimize
 
 from conftest import (dense_bound, dense_expectation, joint_cov, make_field_prior,
                       prior_covariance, theta_block, toy_vb_instance)
-from vbdesign import random_field, stiefel, vb
+from vbdesign import random_field, vb
 from vbdesign.vb import (
     ModelParams,
     PriorConfig,
@@ -444,16 +444,6 @@ class TestRunVbem:
             assert np.array_equal(getattr(st, name), getattr(out.state, name))
         assert np.array_equal(st.lowrank.B_th, out.state.lowrank.B_th)
         assert np.array_equal(st.lowrank.S_cho[0], out.state.lowrank.S_cho[0])
-
-    def test_stalled_ascent_without_a_step_is_not_converged(self, rng, monkeypatch):
-        G_theta, G_z, params, prior, tau_Q, residual = toy_vb_instance(rng)
-
-        def stalled(problem, W0, max_steps):
-            return stiefel.StiefelResult(W0.copy(), 0.0, 0, 1.0, True)
-
-        monkeypatch.setattr(stiefel, "optimize_W", stalled)
-        out = run_vbem(G_theta, G_z, params, prior, tau_Q, residual)
-        assert (out.iterations, out.converged) == (1, False)
 
 
 class TestClosedFormStart:
